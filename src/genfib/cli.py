@@ -88,7 +88,8 @@ def _cmd_compute(args, run: _Run) -> None:
     else:
         if discriminant(p.a, p.b) == 0:
             q = binet_repeated_root(p, args.n)
-            assert q.denominator == 1
+            if q.denominator != 1:
+                raise AssertionError(f"repeated-root closed form gave the non-integer {q}")
             value = int(q)
         else:
             value = binet_eval(p, args.n)

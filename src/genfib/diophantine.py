@@ -207,7 +207,8 @@ def _prime_two_squares(p: int) -> tuple[int, int]:
     r = b
     s2 = p - r * r
     s = isqrt(s2)
-    assert s * s == s2
+    if s * s != s2:
+        raise AssertionError(f"descent left {s2}, not a square: {p} is not a prime 1 mod 4")
     return (r, s)
 
 

@@ -1,24 +1,46 @@
 """Integer factorization and the divisor structure of F_n.
 
-Factorization runs trial division up to a fixed bound and then a seeded
-Brent-cycle rho on whatever composite remains, with a Miller-Rabin primality
-test (deterministic below 3.3e24, a strong pseudoprime screen beyond).
-Everything downstream (tau, ranks of apparition, first-occurrence prime
-factors, tau lower bounds) builds on that.
+`factorize` is the generic route: trial division up to a fixed bound, then a
+seeded Brent-cycle rho on whatever composite remains. Primality is
+Miller-Rabin with the twelve prime bases up to 37. That is a strong
+pseudoprime screen, not a proof: psi_12 = 318665857834031151167461 is
+composite and passes every base. A BPSW test is pending.
+
+F_n is factored through its divisibility structure when gcd(a, b) = 1 and
+n >= 4. Then p | F_m exactly when the rank of apparition of p divides m, so
+the primes of F_{n/q}, for the primes q | n, are the primes of F_n whose
+rank is a proper divisor of n. `_factor_f` divides those out of F_n
+completely, taking them from its own memoised factorizations of the smaller
+terms. What is left is the primitive part, whose primes have rank n. Such a
+prime is n itself or divides p - (D/p) with D = a^2 + 4b, so it is +-1 mod
+n. Trial division tries only those candidates, up to the same bound, and rho
+with the same budget splits the rest. The restriction only orders the
+search: a cofactor is called prime by `is_prime` alone, and every factor is
+divided out of F_n itself. Other coefficients, and n < 4, go to `factorize`
+whole, and their primitive primes are found by scanning ranks.
+
+Everything downstream (tau, ranks of apparition, primitive prime divisors,
+tau lower bounds) builds on that.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import gcd
+from functools import lru_cache
+from math import gcd, isqrt
 
 from .core import f_fast
-from .errors import DomainError, HypothesisViolationError, ResourceLimitError
+from .errors import DomainError, HypothesisViolationError, ResourceLimitError, RhoBudgetError
 
 # F_n values above this many decimal digits are not factored; callers see a
 # ResourceLimitError and report the index as skipped.
 DIGIT_LIMIT = 80
+
+# Trial division runs up to TRIAL_BOUND; RHO_BUDGET caps the rho steps of one
+# factorization.
+TRIAL_BOUND = 10**6
+RHO_BUDGET = 4_000_000
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -122,7 +144,7 @@ class Factorization:
 _WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)
 
 
-def factorize(n: int, *, trial_bound: int = 10**6, rho_budget: int = 4_000_000) -> Factorization:
+def factorize(n: int, *, trial_bound: int = TRIAL_BOUND, rho_budget: int = RHO_BUDGET) -> Factorization:
     """Full prime factorization of a positive integer.
 
     Trial division (2, 3, 5 and a mod-30 wheel) runs below trial_bound; any
@@ -157,28 +179,35 @@ def factorize(n: int, *, trial_bound: int = 10**6, rho_budget: int = 4_000_000) 
             counts[m] = counts.get(m, 0) + 1
             m = 1
     if m > 1:
-        if is_prime(m):
-            counts[m] = counts.get(m, 0) + 1
-        else:
-            rng = random.Random(n)
-            budget = rho_budget
-            stack = [m]
-            while stack:
-                c = stack.pop()
-                if is_prime(c):
-                    counts[c] = counts.get(c, 0) + 1
-                    continue
-                factor = None
-                while factor is None:
-                    factor, used = _brent_rho(c, rng, budget)
-                    budget -= used
-                    if factor is None and budget <= 0:
-                        raise ResourceLimitError(
-                            f"rho budget exhausted factoring {n} (stuck on {c})"
-                        )
-                stack.append(factor)
-                stack.append(c // factor)
+        _rho_split(m, counts, n, rho_budget)
     return Factorization(n, tuple(sorted(counts.items())))
+
+
+def _rho_split(m: int, counts: dict[int, int], whole: int, budget: int) -> None:
+    """Add the prime factors of m > 1 to counts, splitting composites by Brent rho.
+
+    The generator is seeded from `whole`, the number being factored, so
+    repeated runs walk the identical path. Running out of budget raises
+    RhoBudgetError naming `whole` and the composite left unsplit.
+    """
+    if is_prime(m):
+        counts[m] = counts.get(m, 0) + 1
+        return
+    rng = random.Random(whole)
+    stack = [m]
+    while stack:
+        c = stack.pop()
+        if is_prime(c):
+            counts[c] = counts.get(c, 0) + 1
+            continue
+        factor = None
+        while factor is None:
+            factor, used = _brent_rho(c, rng, budget)
+            budget -= used
+            if factor is None and budget <= 0:
+                raise RhoBudgetError(whole, c)
+        stack.append(factor)
+        stack.append(c // factor)
 
 
 def tau(n: int) -> int:
@@ -217,24 +246,115 @@ class PrimitiveDivisorReport:
 
 
 def primitive_divisors(a: int, b: int, n: int) -> PrimitiveDivisorReport:
-    """Classify the prime factors of F_n by their rank of apparition."""
+    """The prime factors of F_n whose rank of apparition is n.
+
+    Where F_n is factored through its divisors, these are the primes of F_n
+    that divide no F_{n/q}, q a prime factor of n. Otherwise the rank of
+    each prime is found by scanning.
+    """
     if a <= 0 or b <= 0:
         raise HypothesisViolationError("coefficients must be positive")
     if n < 1:
         raise DomainError("n must be positive")
-    prims: list[int] = []
-    for p, _ in _factor_f(a, b, n).factors:
-        if rank_of_apparition(a, b, p, limit=n) == n:
-            prims.append(p)
-    return PrimitiveDivisorReport(n, tuple(prims), bool(prims))
+    fac = _factor_f(a, b, n)
+    if _splits(a, b, n):
+        imprimitive = _imprimitive_primes(a, b, n)
+        prims = tuple(p for p, _ in fac.factors if p not in imprimitive)
+    else:
+        prims = tuple(p for p, _ in fac.factors if rank_of_apparition(a, b, p, limit=n) == n)
+    return PrimitiveDivisorReport(n, prims, bool(prims))
+
+
+def _splits(a: int, b: int, n: int) -> bool:
+    """Whether F_n is factored through its divisors.
+
+    p | F_m exactly when rank(p) | m needs gcd(a, b) = 1, and from n = 4 on
+    a prime of rank n is odd, so it is n or +-1 mod n.
+    """
+    return n >= 4 and gcd(a, b) == 1
+
+
+def _imprimitive_primes(a: int, b: int, n: int) -> set[int]:
+    """Primes of F_d for the proper divisors d of n: those of F_{n/q}, q | n prime."""
+    return {p for q, _ in factorize(n).factors for p, _ in _factor_f(a, b, n // q).factors}
 
 
 def _factor_f(a: int, b: int, n: int) -> Factorization:
+    """Factorization of F_n, memoised; a ResourceLimitError is memoised too."""
+    out = _factor_f_memo(a, b, n)
+    if isinstance(out, ResourceLimitError):
+        raise out.with_traceback(None)
+    return out
+
+
+@lru_cache(maxsize=1024)
+def _factor_f_memo(a: int, b: int, n: int) -> Factorization | ResourceLimitError:
+    try:
+        return _factor_f_uncached(a, b, n)
+    except ResourceLimitError as exc:
+        return exc.with_traceback(None)
+
+
+def _factor_f_uncached(a: int, b: int, n: int) -> Factorization:
     fn = f_fast(a, b, n)
     digits = len(str(fn))
     if digits > DIGIT_LIMIT:
         raise ResourceLimitError(f"F_{n} has {digits} digits, above the {DIGIT_LIMIT}-digit cap")
-    return factorize(fn)
+    if not _splits(a, b, n):
+        return factorize(fn)
+    counts: dict[int, int] = {}
+    m = fn
+    try:
+        for p in _imprimitive_primes(a, b, n):
+            m = _divide_out(m, p, counts)
+        m = _trial_primitive(m, n, counts)
+        if m > 1:
+            # seeded from the composite it splits, so the walk depends on it alone
+            _rho_split(m, counts, m, RHO_BUDGET)
+    except RhoBudgetError as exc:
+        # the composite left unsplit, in some F_{n/q} or in the primitive
+        # part, divides F_n; name F_n as the number abandoned
+        raise RhoBudgetError(fn, exc.stuck) from None
+    return Factorization(fn, tuple(sorted(counts.items())))
+
+
+def _divide_out(m: int, p: int, counts: dict[int, int]) -> int:
+    """m with every factor p removed; the exponent, if positive, goes to counts."""
+    e = 0
+    while m % p == 0:
+        m //= p
+        e += 1
+    if e:
+        counts[p] = e
+    return m
+
+
+def _trial_primitive(m: int, n: int, counts: dict[int, int]) -> int:
+    """Trial-divide the primitive part m of F_n by the candidates for rank n.
+
+    The candidates are n and the numbers +-1 mod n (mod 2n for odd n, as p
+    is odd) up to TRIAL_BOUND. A divisor found is recorded only if is_prime
+    accepts it, and so is a prime cofactor. Returns 1, or the composite left
+    for rho.
+    """
+    if m % n == 0 and is_prime(n):
+        m = _divide_out(m, n, counts)
+    step = n if n % 2 == 0 else 2 * n
+    k = step
+    while m > 1:
+        if is_prime(m):
+            counts[m] = counts.get(m, 0) + 1
+            return 1
+        lim = min(TRIAL_BOUND, isqrt(m))
+        while k - 1 <= lim and m % (k - 1) and m % (k + 1):
+            k += step
+        if k - 1 > lim:
+            break
+        for d in (k - 1, k + 1):
+            if m % d == 0 and is_prime(d):
+                m = _divide_out(m, d, counts)
+        k += step
+    return m
 
 
 def check_tau_prime_power(a: int, b: int, p: int, e: int) -> bool:

@@ -23,3 +23,19 @@ class NondegenerateDiscriminantError(ValueError):
 
 class ResourceLimitError(RuntimeError):
     """A computation exceeded its configured budget and was abandoned."""
+
+
+class RhoBudgetError(ResourceLimitError):
+    """Pollard rho spent its step budget without splitting a composite.
+
+    `whole` is the number whose factorization was abandoned and `stuck` the
+    composite divisor of it that rho could not split.
+    """
+
+    def __init__(self, whole: int, stuck: int):
+        super().__init__(whole, stuck)
+        self.whole = whole
+        self.stuck = stuck
+
+    def __str__(self) -> str:
+        return f"rho budget exhausted factoring {self.whole} (stuck on {self.stuck})"

@@ -111,7 +111,8 @@ def binet_eval(p: SequenceParams, n: int) -> int:
     bn = quad_pow(beta, n)
     num = (an - bn).scaled(p.v) + (quad_mul(alpha, bn) - quad_mul(an, beta)).scaled(p.u)
     q = num.y / 2  # (alpha - beta) has w-coefficient 2
-    assert q.denominator == 1 and num.x == -a * q, "numerator not a multiple of alpha - beta"
+    if q.denominator != 1 or num.x != -a * q:
+        raise AssertionError("numerator not a multiple of alpha - beta")
     return int(q)
 
 

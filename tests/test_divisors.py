@@ -1,8 +1,10 @@
 """Factorization stack and the divisor-count bounds on F_n."""
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
+from genfib import divisors
 from genfib import (
     DomainError,
     Factorization,
@@ -161,3 +163,68 @@ def test_factorization_is_value_object():
     f = Factorization(12, ((2, 2), (3, 1)))
     assert f.tau == 6 and f.big_omega == 3
     assert f.divisors() == [1, 2, 3, 4, 6, 12]
+
+
+def _check_against_oracles(a, b, n):
+    """_factor_f against sympy, primitive_divisors against the linear rank scan."""
+    want = tuple(sorted(sympy.factorint(f_fast(a, b, n)).items()))
+    assert divisors._factor_f(a, b, n).factors == want, (a, b, n)
+    scanned = tuple(p for p, _ in want if rank_of_apparition(a, b, p, limit=n) == n)
+    assert primitive_divisors(a, b, n).primitive_primes == scanned, (a, b, n)
+
+
+# the four criterion-10 pairs are factored through the divisors of n; (2, 2)
+# and (4, 2) share a factor, so strong divisibility fails and F_n is factored whole
+@pytest.mark.parametrize("a, b, n_max", [(1, 1, 60), (2, 1, 60), (1, 2, 60), (3, 1, 60),
+                                         (2, 2, 40), (4, 2, 40)])
+def test_factor_f_against_oracles(a, b, n_max):
+    for n in range(1, n_max + 1):
+        _check_against_oracles(a, b, n)
+
+
+@given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 30))
+@settings(max_examples=100, deadline=None)
+def test_factor_f_against_oracles_random_coefficients(a, b, n):
+    _check_against_oracles(a, b, n)
+
+
+# indices that hit the rho budget when F_n was factored whole, and are
+# factored through the divisors of n now (criterion 10's former skip set)
+@pytest.mark.parametrize("a, b, n", [(2, 1, 94), (2, 1, 118), (3, 1, 94), (3, 1, 101),
+                                     (3, 1, 111), (3, 1, 114), (3, 1, 116)])
+def test_formerly_skipped_indices_factor_exactly(a, b, n):
+    fac = divisors._factor_f(a, b, n)
+    prod = 1
+    for p, e in fac.factors:
+        assert sympy.isprime(p), p
+        prod *= p**e
+    assert prod == fac.n == f_fast(a, b, n)
+
+
+def test_skip_reason_names_whole_term():
+    # F_85 of (3, 1) is stuck in its primitive part; the reason names all of F_85
+    f85 = f_fast(3, 1, 85)
+    with pytest.raises(ResourceLimitError) as info:
+        divisors._factor_f(3, 1, 85)
+    assert str(info.value) == (
+        f"rho budget exhausted factoring {f85} (stuck on 1763398343850751227938357247488281)"
+    )
+
+
+@pytest.fixture
+def tiny_rho_budget(monkeypatch):
+    monkeypatch.setattr(divisors, "RHO_BUDGET", 10)
+    divisors._factor_f_memo.cache_clear()
+    yield
+    divisors._factor_f_memo.cache_clear()
+
+
+def test_stuck_divisor_term_stops_the_split(tiny_rho_budget):
+    # F_73 = 9375829 * 86020717 needs rho; F_146 cannot be split past it
+    stuck = 9375829 * 86020717
+    with pytest.raises(ResourceLimitError, match=f"factoring {f_fast(1, 1, 73)} .stuck on {stuck}."):
+        divisors._factor_f(1, 1, 73)
+    with pytest.raises(ResourceLimitError, match=f"factoring {f_fast(1, 1, 146)} .stuck on {stuck}."):
+        divisors._factor_f(1, 1, 146)
+    with pytest.raises(ResourceLimitError, match=f"stuck on {stuck}"):
+        primitive_divisors(1, 1, 146)
