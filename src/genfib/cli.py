@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from math import gcd
 
 from .core import SequenceParams, g_fast, g_iter
@@ -286,7 +287,13 @@ def _cmd_primitive(args, run: _Run) -> None:
         )
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it.
+
+    Parsing keeps no state in the parser, and building it costs more than
+    most subcommands do.
+    """
     parser = argparse.ArgumentParser(
         prog="genfib",
         description="Generalized Fibonacci sequences: identities, divisibility, "

@@ -12,12 +12,21 @@ the primes of F_{n/q}, for the primes q | n, are the primes of F_n whose
 rank is a proper divisor of n. `_factor_f` divides those out of F_n
 completely, taking them from its own memoised factorizations of the smaller
 terms. What is left is the primitive part, whose primes have rank n. Such a
-prime is n itself or divides p - (D/p) with D = a^2 + 4b, so it is +-1 mod
-n. Trial division tries only those candidates, up to the same bound, and rho
-with the same budget splits the rest. The restriction only orders the
-search: a cofactor is called prime by `is_prime` alone, and every factor is
-divided out of F_n itself. Other coefficients, and n < 4, go to `factorize`
-whole, and their primitive primes are found by scanning ranks.
+prime p is n itself or has n | p - (D/p) with D = a^2 + 4b, so it is +-1 mod
+n. The primitive part goes through three stages in turn:
+
+1. trial division by those candidates only, up to the same bound;
+2. Pollard p-1 and Williams p+1 with the known factor 2n in the exponent,
+   which split a prime p = 1 mod n when p - 1 is smooth, and a prime
+   p = -1 mod n when p + 1 is. The p+1 seed is built from D, so its
+   discriminant is D times a square: for the primes with (D/p) = -1, which
+   are the primitive primes = -1 mod n, it lies in the group of order p + 1;
+3. rho, with the same budget, on whatever is still composite.
+
+The candidates only order the search: a cofactor is called prime by
+`is_prime` alone, and every factor is divided out of F_n itself. Other
+coefficients, and n < 4, go to `factorize` whole, and their primitive primes
+are found by scanning ranks.
 
 Everything downstream (tau, ranks of apparition, primitive prime divisors,
 tau lower bounds) builds on that.
@@ -38,9 +47,13 @@ from .errors import DomainError, HypothesisViolationError, ResourceLimitError, R
 DIGIT_LIMIT = 80
 
 # Trial division runs up to TRIAL_BOUND; RHO_BUDGET caps the rho steps of one
-# factorization.
+# factorization. The p-1/p+1 stage on the primitive part of F_n runs stage 1
+# over the prime powers up to STAGE1_BOUND and stage 2 over the primes up to
+# STAGE2_BOUND.
 TRIAL_BOUND = 10**6
 RHO_BUDGET = 4_000_000
+STAGE1_BOUND = 3000
+STAGE2_BOUND = 200_000
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -309,6 +322,8 @@ def _factor_f_uncached(a: int, b: int, n: int) -> Factorization:
             m = _divide_out(m, p, counts)
         m = _trial_primitive(m, n, counts)
         if m > 1:
+            m = _smooth_split(m, n, a * a + 4 * b, counts)
+        if m > 1:
             # seeded from the composite it splits, so the walk depends on it alone
             _rho_split(m, counts, m, RHO_BUDGET)
     except RhoBudgetError as exc:
@@ -355,6 +370,142 @@ def _trial_primitive(m: int, n: int, counts: dict[int, int]) -> int:
                 m = _divide_out(m, d, counts)
         k += step
     return m
+
+
+def _smooth_split(m: int, n: int, d: int, counts: dict[int, int]) -> int:
+    """Split the composite primitive part m of F_n by `_pm1_divisor`.
+
+    A piece is recorded in counts only when is_prime accepts it; the product
+    of the composite pieces left unsplit is returned (1 if none), for rho.
+    """
+    rest = 1
+    stack = [m]
+    while stack:
+        c = stack.pop()
+        if is_prime(c):
+            counts[c] = counts.get(c, 0) + 1
+        elif (g := _pm1_divisor(c, n, d)) is None:
+            rest *= c
+        else:
+            stack += (g, c // g)
+    return rest
+
+
+def _pm1_divisor(c: int, n: int, d: int) -> int | None:
+    """A proper divisor of the composite c by Pollard p-1 and Williams p+1, or None.
+
+    c divides the primitive part of F_n, whose primes p have n | p - (d/p)
+    with d = a^2 + 4b, so both sides raise to the known factor 2n on top of
+    the stage-1 exponent. The p+1 seed P = 2(1 + d)/(1 - d) has discriminant
+    P^2 - 4 = 16d/(1 - d)^2, d times a square, so mod p the roots of
+    x^2 - Px + 1 have order dividing p + 1 exactly when (d/p) = -1: for the
+    primitive primes that are -1 mod n. Stage 2 then allows one more prime
+    in (STAGE1_BOUND, STAGE2_BOUND] on the Lucas value of each side (x + 1/x
+    for p-1). A gcd equal to c drops that side; if no side splits c, it is
+    left for rho.
+    """
+    if c % 3 == 0:
+        # 3, the p-1 base, must be invertible mod c
+        return 3
+    e = 2 * n * _stage1_exponent(STAGE1_BOUND)
+    values = []
+    x = pow(3, e, c)
+    g = gcd(x - 1, c)
+    if 1 < g < c:
+        return g
+    if g == 1:
+        values.append((x + pow(x, -1, c)) % c)
+    g = gcd(1 - d, c)
+    if 1 < g < c:
+        return g
+    if g == 1:
+        v = _lucas_v(2 * (1 + d) * pow(1 - d, -1, c), e, c)
+        g = gcd(v - 2, c)
+        if 1 < g < c:
+            return g
+        if g == 1:
+            values.append(v)
+    acc = 1
+    for v in values:
+        acc = acc * _stage2_product(v, c) % c
+    g = gcd(acc, c)
+    return g if 1 < g < c else None
+
+
+def _lucas_v(p: int, e: int, m: int) -> int:
+    """V_e(p, 1) mod m, where V_0 = 2, V_1 = p and V_k = p*V_{k-1} - V_{k-2}.
+
+    A ladder on the pair (V_k, V_{k+1}): V_2k = V_k^2 - 2 and
+    V_{2k+1} = V_k*V_{k+1} - p.
+    """
+    p %= m
+    lo, hi = 2 % m, p
+    for bit in bin(e)[2:]:
+        if bit == "1":
+            lo, hi = (lo * hi - p) % m, (hi * hi - 2) % m
+        else:
+            lo, hi = (lo * lo - 2) % m, (lo * hi - p) % m
+    return lo
+
+
+# stage 2 steps through multiples of this primorial; every prime q > 7 is
+# k*_GIANT_STEP +- j with j odd, coprime to it and below half of it
+_GIANT_STEP = 210
+
+
+def _stage2_product(v: int, c: int) -> int:
+    """prod (V_{kw}(v) - V_j(v)) mod c over the primes kw +- j in (STAGE1_BOUND, STAGE2_BOUND].
+
+    With v = s + 1/s, V_{kw} - V_j = s^-kw (s^kw - s^j)(s^kw - s^-j), which
+    vanishes mod p when the order of s mod p divides kw - j or kw + j.
+    """
+    k0, plan = _stage2_plan(STAGE1_BOUND, STAGE2_BOUND)
+    if not plan:
+        return 1
+    baby = [2 % c, v]
+    while len(baby) <= _GIANT_STEP // 2:
+        baby.append((v * baby[-1] - baby[-2]) % c)
+    step = _lucas_v(v, _GIANT_STEP, c)
+    prev, cur = _lucas_v(v, abs(k0 - 1) * _GIANT_STEP, c), _lucas_v(v, k0 * _GIANT_STEP, c)
+    acc = 1
+    for offsets in plan:
+        for j in offsets:
+            acc = acc * (cur - baby[j]) % c
+        prev, cur = cur, (step * cur - prev) % c
+    return acc
+
+
+@lru_cache(maxsize=None)
+def _stage1_exponent(bound: int) -> int:
+    """prod q^floor(log_q bound) over the primes q <= bound; built on first use."""
+    e = 1
+    for q in _small_primes(bound + 1):
+        qk = q
+        while qk * q <= bound:
+            qk *= q
+        e *= qk
+    return e
+
+
+@lru_cache(maxsize=None)
+def _stage2_plan(lo: int, hi: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The giant steps covering the primes q in (lo, hi]; built on first use.
+
+    Returns k0 and one tuple per k = k0, k0 + 1, ... holding the offsets j
+    with k*_GIANT_STEP +- j such a prime.
+    """
+    half = _GIANT_STEP // 2
+    primes = [q for q in _small_primes(hi + 1) if q > lo]
+    if not primes:
+        return 0, ()
+    k0 = (primes[0] + half) // _GIANT_STEP
+    plan: list[list[int]] = [[] for _ in range((primes[-1] + half) // _GIANT_STEP - k0 + 1)]
+    for q in primes:
+        k = (q + half) // _GIANT_STEP
+        j = abs(q - k * _GIANT_STEP)
+        if j not in plan[k - k0]:
+            plan[k - k0].append(j)
+    return k0, tuple(tuple(js) for js in plan)
 
 
 def check_tau_prime_power(a: int, b: int, p: int, e: int) -> bool:

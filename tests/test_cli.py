@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from genfib import cli
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -196,3 +198,45 @@ def test_repeat_runs_byte_identical():
     first = run_cli(*args)
     second = run_cli(*args)
     assert first.stdout == second.stdout and first.returncode == second.returncode
+
+
+# one argv per subcommand family, two of them usage errors (exit 2)
+MIXED_ARGVS = [
+    ["compute", "--u", "0", "--v", "1", "--a", "1", "--b", "1", "--n", "10"],
+    ["tau-bounds", "--a", "2", "--b", "1", "--n-max", "12"],
+    ["compute", "--u", "0", "--v", "1", "--a", "1", "--b", "1"],
+    ["bisquare", "--n", "45"],
+    ["identity", "addition", "--u", "1", "--v", "2", "--a", "1", "--b", "1", "--max-n", "3"],
+    ["scan-divisible", "--u-range", "5", "--v-range", "1..2", "--a-range", "1..2",
+     "--b-range", "1..2", "--bound", "10"],
+    ["dioph", "complete", "--z-max", "50", "--lm-max", "1"],
+]
+
+
+def run_in_process(capsys, argv):
+    code = cli.run(argv)
+    out = capsys.readouterr()
+    return out.out, out.err, code
+
+
+def test_in_process_runs_match_fresh_runs(capsys):
+    fresh = [run_cli(*argv) for argv in MIXED_ARGVS]
+    fresh = [(proc.stdout, proc.stderr, proc.returncode) for proc in fresh]
+    # every argv twice, in an order that alternates subcommands and errors
+    order = list(range(len(MIXED_ARGVS))) + list(range(len(MIXED_ARGVS)))[::-1]
+    for i in order:
+        assert run_in_process(capsys, MIXED_ARGVS[i]) == fresh[i], MIXED_ARGVS[i]
+
+
+def test_usage_error_leaves_next_call_unaffected(capsys):
+    base = ["--u", "0", "--v", "1", "--a", "1", "--b", "1"]
+    out, err, code = run_in_process(capsys, ["compute", *base, "--method", "nope", "--n", "5"])
+    assert code == 2 and out == "" and "invalid choice" in err
+    # flags given to the failed and the earlier call do not stick: --method
+    # falls back to its default, --max-m to --max-n
+    out, err, code = run_in_process(capsys, ["compute", *base, "--n", "10"])
+    assert code == 0 and err == ""
+    assert json.loads(out)["method"] == "fast" and json.loads(out)["value"] == 55
+    run_in_process(capsys, ["identity", "addition", *base, "--max-m", "4", "--max-n", "1"])
+    out, err, code = run_in_process(capsys, ["identity", "addition", *base, "--max-n", "1"])
+    assert code == 0 and len(out.splitlines()) == 2 * 2

@@ -16,6 +16,7 @@ from genfib import (
     check_tau_prime_power,
     f_fast,
     factorize,
+    g_iter,
     is_prime,
     primitive_divisors,
     rank_of_apparition,
@@ -190,8 +191,8 @@ def test_factor_f_against_oracles_random_coefficients(a, b, n):
 
 # indices that hit the rho budget when F_n was factored whole, and are
 # factored through the divisors of n now (criterion 10's former skip set)
-@pytest.mark.parametrize("a, b, n", [(2, 1, 94), (2, 1, 118), (3, 1, 94), (3, 1, 101),
-                                     (3, 1, 111), (3, 1, 114), (3, 1, 116)])
+@pytest.mark.parametrize("a, b, n", [(2, 1, 94), (2, 1, 118), (3, 1, 85), (3, 1, 94),
+                                     (3, 1, 101), (3, 1, 111), (3, 1, 114), (3, 1, 116)])
 def test_formerly_skipped_indices_factor_exactly(a, b, n):
     fac = divisors._factor_f(a, b, n)
     prod = 1
@@ -202,18 +203,22 @@ def test_formerly_skipped_indices_factor_exactly(a, b, n):
 
 
 def test_skip_reason_names_whole_term():
-    # F_85 of (3, 1) is stuck in its primitive part; the reason names all of F_85
-    f85 = f_fast(3, 1, 85)
+    # F_115 of (3, 1) is stuck in its primitive part, on a composite that
+    # neither p-1 nor p+1 splits; the reason names all of F_115
+    stuck = 342031920897076540295497833169
+    assert divisors._pm1_divisor(stuck, 115, 3 * 3 + 4) is None
     with pytest.raises(ResourceLimitError) as info:
-        divisors._factor_f(3, 1, 85)
-    assert str(info.value) == (
-        f"rho budget exhausted factoring {f85} (stuck on 1763398343850751227938357247488281)"
-    )
+        divisors._factor_f(3, 1, 115)
+    assert str(info.value) == f"rho budget exhausted factoring {f_fast(3, 1, 115)} (stuck on {stuck})"
 
 
 @pytest.fixture
 def tiny_rho_budget(monkeypatch):
+    # the p-1/p+1 stage gets bounds too small to split anything, so rho is
+    # what runs out: 9375829 | F_73 of (1, 1) has p - 1 = 2^2*3*7*11*73*139
     monkeypatch.setattr(divisors, "RHO_BUDGET", 10)
+    monkeypatch.setattr(divisors, "STAGE1_BOUND", 1)
+    monkeypatch.setattr(divisors, "STAGE2_BOUND", 1)
     divisors._factor_f_memo.cache_clear()
     yield
     divisors._factor_f_memo.cache_clear()
@@ -228,3 +233,67 @@ def test_stuck_divisor_term_stops_the_split(tiny_rho_budget):
         divisors._factor_f(1, 1, 146)
     with pytest.raises(ResourceLimitError, match=f"stuck on {stuck}"):
         primitive_divisors(1, 1, 146)
+
+
+@given(st.integers(-50, 50), st.integers(0, 400), st.integers(1, 10**12))
+@settings(max_examples=200)
+def test_lucas_v_matches_recurrence(p, e, m):
+    # V_k(p, 1) is the (2, p | p, -1) sequence
+    assert divisors._lucas_v(p, e, m) == g_iter(SequenceParams(2, p, p, -1), e) % m
+
+
+# primes q whose q - 1 and q + 1 both have a prime factor above STAGE2_BOUND,
+# so that neither side of the stage can split them off
+HARD_Q1 = 9731641888627922639
+HARD_Q2 = 666077066432791168487
+
+
+def test_hard_primes_are_hard():
+    for q in (HARD_Q1, HARD_Q2):
+        assert sympy.isprime(q)
+        assert max(sympy.factorint(q - 1)) > divisors.STAGE2_BOUND
+        assert max(sympy.factorint(q + 1)) > divisors.STAGE2_BOUND
+
+
+def test_pm1_stage1_splits_p_minus_1_smooth(monkeypatch):
+    # p = 1 mod 101, p - 1 = 2*17*19*29*37*71*101*149*151*157*193
+    p = 3388692329339923583
+    monkeypatch.setattr(divisors, "STAGE2_BOUND", divisors.STAGE1_BOUND)
+    assert divisors._pm1_divisor(p * HARD_Q1, 101, 5) == p
+
+
+def test_pp1_stage2_splits_p_plus_1_one_prime_past_stage1(monkeypatch):
+    # p = -1 mod 101 with (5/p) = -1, p + 1 = 2*37^2*101^2*131*137*151*179*92297:
+    # smooth to STAGE1_BOUND but for 92297, which only stage 2 covers;
+    # p - 1 = 2^2*3*109048453*955619190481 is smooth on neither stage
+    p = 1250505532548784510717
+    assert divisors._pm1_divisor(p * HARD_Q2, 101, 5) == p
+    monkeypatch.setattr(divisors, "STAGE2_BOUND", divisors.STAGE1_BOUND)
+    assert divisors._pm1_divisor(p * HARD_Q2, 101, 5) is None
+
+
+def test_smooth_split_leaves_unsplit_composite_for_rho():
+    c = HARD_Q1 * HARD_Q2
+    counts = {}
+    assert divisors._smooth_split(c, 101, 5, counts) == c and counts == {}
+    # the whole composite then goes to rho, which names it when it gives up
+    with pytest.raises(divisors.RhoBudgetError) as info:
+        divisors._rho_split(c, counts, c, 10)
+    assert info.value.stuck == c
+
+
+@given(st.lists(st.integers(10**6, 10**14), min_size=2, max_size=4),
+       st.integers(4, 120), st.sampled_from([5, 8, 9, 13, 21]))
+@settings(max_examples=40, deadline=None)
+def test_smooth_split_returns_primes_that_rebuild_the_input(starts, n, d):
+    m = 1
+    for x in starts:
+        m *= sympy.nextprime(x)
+    counts = {}
+    rest = divisors._smooth_split(m, n, d, counts)
+    assert all(sympy.isprime(p) for p in counts)
+    assert rest == 1 or not sympy.isprime(rest)
+    prod = rest
+    for p, e in counts.items():
+        prod *= p**e
+    assert prod == m

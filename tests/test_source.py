@@ -1,6 +1,9 @@
 """Properties of the package source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "genfib"
@@ -15,3 +18,18 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_import_builds_no_lazy_tables():
+    # the p-1/p+1 tables and the CLI parser are built on first use, so
+    # importing the package stays as cheap as it was before they existed
+    code = (
+        "import genfib\n"
+        "from genfib import cli, divisors\n"
+        "lazy = (divisors._stage1_exponent, divisors._stage2_plan, cli._build_parser)\n"
+        "print([f.cache_info().currsize for f in lazy])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[0, 0, 0]\n"
