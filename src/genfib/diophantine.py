@@ -87,11 +87,9 @@ def brute_force_solutions(z_max: int) -> list[tuple[int, int, int]]:
     out: list[tuple[int, int, int]] = []
     for z in range(1, z_max + 1):
         zz = z * z
-        for x in range(isqrt(zz // 5) + 1):
-            rem = zz - 5 * x * x
-            if rem % 4:
-                continue
-            yy = rem // 4
+        # z^2 - 5x^2 = z^2 - x^2 (mod 4), which is 0 exactly when x = z (mod 2)
+        for x in range(z & 1, isqrt(zz // 5) + 1, 2):
+            yy = (zz - 5 * x * x) // 4
             y = isqrt(yy)
             if y * y == yy:
                 out.append((x, y, z))

@@ -1,7 +1,8 @@
 """Integer factorization and the divisor structure of F_n.
 
-`factorize` is the generic route: trial division up to a fixed bound, then a
-seeded Brent-cycle rho on whatever composite remains. Primality is
+`factorize` is the generic route: trial division by the primes below 1000,
+then a seeded Brent-cycle rho on whatever composite remains. Its results, and
+its rho-budget failures, are memoised for the default budget. Primality is
 Miller-Rabin with the twelve prime bases up to 37. That is a strong
 pseudoprime screen, not a proof: psi_12 = 318665857834031151167461 is
 composite and passes every base. A BPSW test is pending.
@@ -15,7 +16,7 @@ terms. What is left is the primitive part, whose primes have rank n. Such a
 prime p is n itself or has n | p - (D/p) with D = a^2 + 4b, so it is +-1 mod
 n. The primitive part goes through three stages in turn:
 
-1. trial division by those candidates only, up to the same bound;
+1. trial division by those candidates only, up to TRIAL_BOUND;
 2. Pollard p-1 and Williams p+1 with the known factor 2n in the exponent,
    which split a prime p = 1 mod n when p - 1 is smooth, and a prime
    p = -1 mod n when p + 1 is. The p+1 seed is built from D, so its
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from math import gcd, isqrt
 
 from .core import f_fast
@@ -46,10 +47,11 @@ from .errors import DomainError, HypothesisViolationError, ResourceLimitError, R
 # ResourceLimitError and report the index as skipped.
 DIGIT_LIMIT = 80
 
-# Trial division runs up to TRIAL_BOUND; RHO_BUDGET caps the rho steps of one
-# factorization. The p-1/p+1 stage on the primitive part of F_n runs stage 1
-# over the prime powers up to STAGE1_BOUND and stage 2 over the primes up to
-# STAGE2_BOUND.
+# The primitive part of F_n is trial-divided by its candidates up to
+# TRIAL_BOUND (the generic factorize trial-divides by the primes below 1000
+# only); RHO_BUDGET caps the rho steps of one factorization. The p-1/p+1 stage
+# on the primitive part runs stage 1 over the prime powers up to STAGE1_BOUND
+# and stage 2 over the primes up to STAGE2_BOUND.
 TRIAL_BOUND = 10**6
 RHO_BUDGET = 4_000_000
 STAGE1_BOUND = 3000
@@ -154,46 +156,72 @@ class Factorization:
         return sorted(divs)
 
 
-_WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)
+def _memoised(func):
+    """func behind a bounded cache that keeps a ResourceLimitError it raises as well as a result.
+
+    A cached error is raised again, with the same message, on every later
+    call with the same arguments. `cache_clear` empties the cache.
+    """
+    @lru_cache(maxsize=1024)
+    def memo(*args):
+        try:
+            return func(*args)
+        except ResourceLimitError as exc:
+            return exc.with_traceback(None)
+
+    @wraps(func)
+    def recall(*args):
+        out = memo(*args)
+        if isinstance(out, ResourceLimitError):
+            raise out.with_traceback(None)
+        return out
+
+    recall.cache_clear = memo.cache_clear
+    return recall
 
 
-def factorize(n: int, *, trial_bound: int = TRIAL_BOUND, rho_budget: int = RHO_BUDGET) -> Factorization:
+def factorize(n: int, *, rho_budget: int | None = None) -> Factorization:
     """Full prime factorization of a positive integer.
 
-    Trial division (2, 3, 5 and a mod-30 wheel) runs below trial_bound; any
-    remaining composite goes to Brent rho seeded from n itself, so repeated
-    runs walk the identical path. rho_budget caps the total rho steps for
-    this call; exhausting it raises ResourceLimitError.
+    Trial division by the primes below 1000 strips the small factors. A
+    cofactor left is prime when it is below 1009^2, as it then has no prime
+    factor up to its square root, or when is_prime accepts it; otherwise it
+    goes to Brent rho seeded from n itself, so repeated runs walk the
+    identical path. rho_budget caps the total rho steps for this call,
+    RHO_BUDGET by default; exhausting it raises ResourceLimitError. With the
+    default budget the result is memoised, and so is a ResourceLimitError; a
+    call with an explicit rho_budget bypasses the cache.
     """
     if n < 1:
         raise DomainError(f"factorize needs a positive integer, got {n}")
+    if rho_budget is None:
+        return _factorize_memo(n, RHO_BUDGET)
+    return _factorize(n, rho_budget)
+
+
+# the least prime above _SMALL_PRIMES, squared: a cofactor below it with no
+# prime factor in _SMALL_PRIMES has none up to its square root
+_TRIAL_SQUARE = 1009 * 1009
+
+
+def _factorize(n: int, rho_budget: int) -> Factorization:
     counts: dict[int, int] = {}
     m = n
-    for p in (2, 3, 5):
-        while m % p == 0:
-            counts[p] = counts.get(p, 0) + 1
-            m //= p
-    if m > 1 and not is_prime(m):
-        d = 7
-        idx = 0
-        while d <= trial_bound and d * d <= m:
-            if m % d == 0:
-                e = 0
-                while m % d == 0:
-                    m //= d
-                    e += 1
-                counts[d] = e
-                if m == 1 or is_prime(m):
-                    break
-            d += _WHEEL[idx]
-            idx = (idx + 1) & 7
-        if m > 1 and d * d > m:
-            # no divisor up to sqrt(m), so the cofactor is prime
-            counts[m] = counts.get(m, 0) + 1
-            m = 1
-    if m > 1:
+    for p in _SMALL_PRIMES:
+        if p * p > m:
+            break
+        if m % p == 0:
+            m = _divide_out(m, p, counts)
+    if m >= _TRIAL_SQUARE:
         _rho_split(m, counts, n, rho_budget)
+    elif m > 1:
+        counts[m] = 1
     return Factorization(n, tuple(sorted(counts.items())))
+
+
+# keyed on the budget as well, so a changed RHO_BUDGET never reads an entry
+# made under another
+_factorize_memo = _memoised(_factorize)
 
 
 def _rho_split(m: int, counts: dict[int, int], whole: int, budget: int) -> None:
@@ -292,23 +320,9 @@ def _imprimitive_primes(a: int, b: int, n: int) -> set[int]:
     return {p for q, _ in factorize(n).factors for p, _ in _factor_f(a, b, n // q).factors}
 
 
+@_memoised
 def _factor_f(a: int, b: int, n: int) -> Factorization:
     """Factorization of F_n, memoised; a ResourceLimitError is memoised too."""
-    out = _factor_f_memo(a, b, n)
-    if isinstance(out, ResourceLimitError):
-        raise out.with_traceback(None)
-    return out
-
-
-@lru_cache(maxsize=1024)
-def _factor_f_memo(a: int, b: int, n: int) -> Factorization | ResourceLimitError:
-    try:
-        return _factor_f_uncached(a, b, n)
-    except ResourceLimitError as exc:
-        return exc.with_traceback(None)
-
-
-def _factor_f_uncached(a: int, b: int, n: int) -> Factorization:
     fn = f_fast(a, b, n)
     digits = len(str(fn))
     if digits > DIGIT_LIMIT:

@@ -92,6 +92,11 @@ def test_brute_force_oracle():
     assert brute_force_solutions(0) == []
     for x, y, z in brute_force_solutions(60):
         assert is_solution(x, y, z) and x >= 0 and y >= 0 and 0 < z <= 60
+    # a naive triple loop, in (z, x, y) order; 5x^2 <= z^2 and 4y^2 <= z^2
+    # keep x and y within z // 2
+    naive = [(x, y, z) for z in range(1, 151) for x in range(z // 2 + 1) for y in range(z // 2 + 1)
+             if 5 * x * x + 4 * y * y == z * z]
+    assert brute_force_solutions(150) == naive
 
 
 def test_completeness():

@@ -56,8 +56,87 @@ def test_factorize_deterministic():
 
 
 def test_rho_budget_is_enforced():
+    n = (10**9 + 7) * (10**9 + 9)
+    divisors._factorize_memo.cache_clear()
     with pytest.raises(ResourceLimitError):
-        factorize((10**9 + 7) * (10**9 + 9), rho_budget=10)
+        factorize(n, rho_budget=10)
+    # a call with an explicit budget leaves the default cache clean
+    assert factorize(n).factors == ((10**9 + 7, 1), (10**9 + 9, 1))
+
+
+def _sympy_factors(n):
+    return tuple(sorted(sympy.factorint(n).items()))
+
+
+# trial division stops at the primes below 1000, so rho finds the primes in
+# (10^3, 10^6): prime powers, 1009^2 itself (the least cofactor that is not
+# prime by the square-root rule) and products of primes just past 1000;
+# 1018057, the largest prime below 1009^2, is prime by that rule
+@pytest.mark.parametrize("n", [1009**2, 999983**3, 1009**7,
+                               1009 * 1013 * 1019 * 1021 * 1031 * 1033 * 1039 * 2**5 * 3 * 7**2 * 997,
+                               997**2 * 1009, 2 * 1018057, 1018057 * 1009 * 999983])
+def test_factorize_matches_sympy_past_small_primes(n):
+    assert factorize(n).factors == _sympy_factors(n)
+
+
+@given(st.lists(st.tuples(st.integers(10**3, 10**6), st.integers(1, 3)), min_size=1, max_size=4),
+       st.integers(1, 10**4))
+@settings(max_examples=60, deadline=None)
+def test_factorize_matches_sympy_on_mid_size_primes(powers, small):
+    n = small
+    for x, e in powers:
+        n *= sympy.nextprime(x) ** e
+    assert factorize(n).factors == _sympy_factors(n)
+
+
+_PSEUDOPRIME = pytest.mark.xfail(
+    strict=True, reason="is_prime passes this composite on all 12 Miller-Rabin bases; see the BPSW item")
+
+# the corpus that the bisquare-mix benchmark feeds through `bisquare --n`:
+# Carmichael numbers, p(2p-1) products, semiprimes with a 7-9 digit factor and
+# the strong pseudoprimes psi_9, psi_12 and psi_13
+HARD_CORPUS = [
+    1729, 168011973623089, 10386066643795453969, 561, 41041, 825265, 207132481,
+    200007550071253, 2000000827000085491, 7689508527283867649654567,
+    4798535463618468995659, 277875660197838864654113, 2934766667677383901,
+    3825123056546413051,
+    pytest.param(318665857834031151167461, marks=_PSEUDOPRIME, id="psi12"),
+    pytest.param(3317044064679887385961981, marks=_PSEUDOPRIME, id="psi13"),
+]
+
+
+@pytest.mark.parametrize("n", HARD_CORPUS)
+def test_factorize_matches_sympy_on_hard_corpus(n):
+    assert factorize(n).factors == _sympy_factors(n)
+
+
+def _count_rho_calls(monkeypatch):
+    calls = []
+    rho_split = divisors._rho_split
+
+    def counted(*args):
+        calls.append(args)
+        return rho_split(*args)
+
+    monkeypatch.setattr(divisors, "_rho_split", counted)
+    return calls
+
+
+def test_default_budget_failure_is_memoised(monkeypatch):
+    # the second call raises the cached error again without factoring anew
+    calls = _count_rho_calls(monkeypatch)
+    n = (10**9 + 7) * (10**9 + 9)
+    messages = []
+    with monkeypatch.context() as patch:
+        patch.setattr(divisors, "RHO_BUDGET", 10)
+        for _ in range(2):
+            with pytest.raises(ResourceLimitError) as info:
+                factorize(n)
+            messages.append(str(info.value))
+    assert messages == [f"rho budget exhausted factoring {n} (stuck on {n})"] * 2
+    assert len(calls) == 1
+    # an entry made under another budget is not read under RHO_BUDGET
+    assert factorize(n).factors == ((10**9 + 7, 1), (10**9 + 9, 1))
 
 
 @given(st.integers(1, 10**9))
@@ -219,9 +298,19 @@ def tiny_rho_budget(monkeypatch):
     monkeypatch.setattr(divisors, "RHO_BUDGET", 10)
     monkeypatch.setattr(divisors, "STAGE1_BOUND", 1)
     monkeypatch.setattr(divisors, "STAGE2_BOUND", 1)
-    divisors._factor_f_memo.cache_clear()
+    divisors._factor_f.cache_clear()
     yield
-    divisors._factor_f_memo.cache_clear()
+    divisors._factor_f.cache_clear()
+
+
+def test_factor_f_failure_is_memoised(tiny_rho_budget, monkeypatch):
+    calls = _count_rho_calls(monkeypatch)
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ResourceLimitError) as info:
+            divisors._factor_f(1, 1, 73)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1] and len(calls) == 1
 
 
 def test_stuck_divisor_term_stops_the_split(tiny_rho_budget):
