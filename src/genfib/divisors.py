@@ -7,27 +7,31 @@ Miller-Rabin with the twelve prime bases up to 37. That is a strong
 pseudoprime screen, not a proof: psi_12 = 318665857834031151167461 is
 composite and passes every base. A BPSW test is pending.
 
-F_n is factored through its divisibility structure when gcd(a, b) = 1 and
-n >= 4. Then p | F_m exactly when the rank of apparition of p divides m, so
-the primes of F_{n/q}, for the primes q | n, are the primes of F_n whose
-rank is a proper divisor of n. `_factor_f` divides those out of F_n
-completely, taking them from its own memoised factorizations of the smaller
-terms. What is left is the primitive part, whose primes have rank n. Such a
-prime p is n itself or has n | p - (D/p) with D = a^2 + 4b, so it is +-1 mod
-n. The primitive part goes through three stages in turn:
+F_n is factored through its divisibility structure when n >= 4. A prime of
+gcd(a, b) divides every F_m from m = 2 on, and a prime of b alone divides
+none. For every other prime p, p | F_m exactly when the rank of apparition
+of p divides m, so the primes of gcd(a, b) and of F_{n/q}, for the primes
+q | n, are the primes of F_n whose rank is a proper divisor of n.
+`_factor_f` divides those out of F_n completely, taking them from its own
+memoised factorizations of the smaller terms. What is left is the primitive
+part, whose primes have rank n. Such a prime p is n itself or has
+n | p - (D/p) with D = a^2 + 4b, so it is +-1 mod n. The primitive part
+goes through three stages in turn:
 
 1. trial division by those candidates only, up to TRIAL_BOUND;
-2. Pollard p-1 and Williams p+1 with the known factor 2n in the exponent,
-   which split a prime p = 1 mod n when p - 1 is smooth, and a prime
-   p = -1 mod n when p + 1 is. The p+1 seed is built from D, so its
-   discriminant is D times a square: for the primes with (D/p) = -1, which
-   are the primitive primes = -1 mod n, it lies in the group of order p + 1;
+2. Pollard p-1 and Williams p+1 started from the known factor 2n, which
+   split a prime p = 1 mod n when p - 1 is smooth, and a prime p = -1 mod n
+   when p + 1 is. The p+1 seed is built from D, so its discriminant is D
+   times a square: for the primes with (D/p) = -1, which are the primitive
+   primes = -1 mod n, it lies in the group of order p + 1. A gcd that
+   catches every prime of the composite at once backs off to its last
+   checkpoint and replays the steps one at a time;
 3. rho, with the same budget, on whatever is still composite.
 
 The candidates only order the search: a cofactor is called prime by
-`is_prime` alone, and every factor is divided out of F_n itself. Other
-coefficients, and n < 4, go to `factorize` whole, and their primitive primes
-are found by scanning ranks.
+`is_prime` alone, and every factor is divided out of F_n itself. For n < 4,
+F_n goes to `factorize` whole, and its primitive primes are found by
+scanning ranks.
 
 Everything downstream (tau, ranks of apparition, primitive prime divisors,
 tau lower bounds) builds on that.
@@ -36,9 +40,11 @@ tau lower bounds) builds on that.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache, wraps
-from math import gcd, isqrt
+from itertools import compress
+from math import gcd, isqrt, prod
 
 from .core import f_fast
 from .errors import DomainError, HypothesisViolationError, ResourceLimitError, RhoBudgetError
@@ -61,24 +67,39 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def _small_primes(limit: int) -> tuple[int, ...]:
-    sieve = bytearray([1]) * limit
-    sieve[0:2] = b"\x00\x00"
-    for i in range(2, int(limit**0.5) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return tuple(i for i in range(limit) if sieve[i])
+    """The primes below limit, by a sieve over the odd numbers."""
+    if limit < 3:
+        return ()
+    # sieve[k] stands for 2k + 1
+    half = limit // 2
+    sieve = bytearray([1]) * half
+    sieve[0] = 0
+    for i in range(3, isqrt(limit - 1) + 1, 2):
+        if sieve[i >> 1]:
+            sieve[i * i >> 1 :: i] = bytes(len(range(i * i >> 1, half, i)))
+    return (2, *compress(range(1, limit, 2), sieve))
 
 
 _SMALL_PRIMES = _small_primes(1000)
+_SMALL_PRODUCT = prod(_SMALL_PRIMES)
+# the least prime above _SMALL_PRIMES, squared: a number below it with no
+# prime factor in _SMALL_PRIMES has none up to its square root
+_TRIAL_SQUARE = 1009 * 1009
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin with the fixed 12-base witness set."""
+    """Miller-Rabin with the fixed 12-base witness set, after a screen by the primes below 1000.
+
+    The screen is one gcd with their product; a number below 1009^2 that
+    passes it is prime without further test.
+    """
     if n < 2:
         return False
-    for p in _SMALL_PRIMES:
-        if n % p == 0:
-            return n == p
+    g = gcd(n, _SMALL_PRODUCT)
+    if g != 1:
+        return g == n and n in _SMALL_PRIMES
+    if n < _TRIAL_SQUARE:
+        return True
     d = n - 1
     s = ((d & -d)).bit_length() - 1
     d >>= s
@@ -113,7 +134,7 @@ def _brent_rho(n: int, rng: random.Random, max_steps: int) -> tuple[int | None, 
             ys = y
             for _ in range(min(m, r - k)):
                 y = (y * y + c) % n
-                q = q * abs(x - y) % n
+                q = q * (x - y) % n
             steps += min(m, r - k)
             g = gcd(q, n)
             k += m
@@ -124,7 +145,7 @@ def _brent_rho(n: int, rng: random.Random, max_steps: int) -> tuple[int | None, 
         g = 1
         while g == 1:
             ys = (ys * ys + c) % n
-            g = gcd(abs(x - ys), n)
+            g = gcd(x - ys, n)
             steps += 1
     if g == n:
         return None, steps
@@ -197,11 +218,6 @@ def factorize(n: int, *, rho_budget: int | None = None) -> Factorization:
     if rho_budget is None:
         return _factorize_memo(n, RHO_BUDGET)
     return _factorize(n, rho_budget)
-
-
-# the least prime above _SMALL_PRIMES, squared: a cofactor below it with no
-# prime factor in _SMALL_PRIMES has none up to its square root
-_TRIAL_SQUARE = 1009 * 1009
 
 
 def _factorize(n: int, rho_budget: int) -> Factorization:
@@ -289,16 +305,16 @@ class PrimitiveDivisorReport:
 def primitive_divisors(a: int, b: int, n: int) -> PrimitiveDivisorReport:
     """The prime factors of F_n whose rank of apparition is n.
 
-    Where F_n is factored through its divisors, these are the primes of F_n
-    that divide no F_{n/q}, q a prime factor of n. Otherwise the rank of
-    each prime is found by scanning.
+    From n = 4 on, where F_n is factored through its divisors, these are the
+    primes of F_n that divide neither gcd(a, b) nor any F_{n/q}, q a prime
+    factor of n. Below that the rank of each prime is found by scanning.
     """
     if a <= 0 or b <= 0:
         raise HypothesisViolationError("coefficients must be positive")
     if n < 1:
         raise DomainError("n must be positive")
     fac = _factor_f(a, b, n)
-    if _splits(a, b, n):
+    if n >= 4:
         imprimitive = _imprimitive_primes(a, b, n)
         prims = tuple(p for p, _ in fac.factors if p not in imprimitive)
     else:
@@ -306,18 +322,19 @@ def primitive_divisors(a: int, b: int, n: int) -> PrimitiveDivisorReport:
     return PrimitiveDivisorReport(n, prims, bool(prims))
 
 
-def _splits(a: int, b: int, n: int) -> bool:
-    """Whether F_n is factored through its divisors.
-
-    p | F_m exactly when rank(p) | m needs gcd(a, b) = 1, and from n = 4 on
-    a prime of rank n is odd, so it is n or +-1 mod n.
-    """
-    return n >= 4 and gcd(a, b) == 1
-
-
 def _imprimitive_primes(a: int, b: int, n: int) -> set[int]:
-    """Primes of F_d for the proper divisors d of n: those of F_{n/q}, q | n prime."""
-    return {p for q, _ in factorize(n).factors for p, _ in _factor_f(a, b, n // q).factors}
+    """The primes of F_n, n >= 4, whose rank of apparition is below n.
+
+    A prime of gcd(a, b) divides every F_m from m = 2 on, so its rank is 2.
+    A prime of b alone divides no F_m. Any other prime divides F_m exactly
+    when its rank divides m, so the rest are the primes of F_{n/q}, q | n
+    prime.
+    """
+    out = {p for q, _ in factorize(n).factors for p, _ in _factor_f(a, b, n // q).factors}
+    g = gcd(a, b)
+    if g > 1:
+        out.update(p for p, _ in factorize(g).factors)
+    return out
 
 
 @_memoised
@@ -327,7 +344,7 @@ def _factor_f(a: int, b: int, n: int) -> Factorization:
     digits = len(str(fn))
     if digits > DIGIT_LIMIT:
         raise ResourceLimitError(f"F_{n} has {digits} digits, above the {DIGIT_LIMIT}-digit cap")
-    if not _splits(a, b, n):
+    if n < 4:
         return factorize(fn)
     counts: dict[int, int] = {}
     m = fn
@@ -409,22 +426,25 @@ def _pm1_divisor(c: int, n: int, d: int) -> int | None:
     """A proper divisor of the composite c by Pollard p-1 and Williams p+1, or None.
 
     c divides the primitive part of F_n, whose primes p have n | p - (d/p)
-    with d = a^2 + 4b, so both sides raise to the known factor 2n on top of
-    the stage-1 exponent. The p+1 seed P = 2(1 + d)/(1 - d) has discriminant
-    P^2 - 4 = 16d/(1 - d)^2, d times a square, so mod p the roots of
-    x^2 - Px + 1 have order dividing p + 1 exactly when (d/p) = -1: for the
-    primitive primes that are -1 mod n. Stage 2 then allows one more prime
-    in (STAGE1_BOUND, STAGE2_BOUND] on the Lucas value of each side (x + 1/x
-    for p-1). A gcd equal to c drops that side; if no side splits c, it is
-    left for rho.
+    with d = a^2 + 4b, so both sides start from the known factor 2n: at
+    3^(2n) for p-1 and at V_2n(P) for p+1. The p+1 seed P = 2(1 + d)/(1 - d)
+    has discriminant P^2 - 4 = 16d/(1 - d)^2, d times a square, so mod p the
+    roots of x^2 - Px + 1 have order dividing p + 1 exactly when
+    (d/p) = -1: for the primitive primes that are -1 mod n. Stage 1 then
+    raises each side by the prime powers up to STAGE1_BOUND, and stage 2
+    allows one more prime in (STAGE1_BOUND, STAGE2_BOUND] on the Lucas
+    values of both sides (x + 1/x for p-1) in one pass. A gcd equal to c
+    backs off: the stretch it covers is replayed one step at a time, so that
+    primes of c caught together are found apart. Only a single stage-1 step
+    that catches every prime of c at once drops that side. If no side
+    splits c, it is left for rho.
     """
     if c % 3 == 0:
         # 3, the p-1 base, must be invertible mod c
         return 3
-    e = 2 * n * _stage1_exponent(STAGE1_BOUND)
+    chunks, k0, blocks = _stage_tables(STAGE1_BOUND, STAGE2_BOUND)
     values = []
-    x = pow(3, e, c)
-    g = gcd(x - 1, c)
+    g, x = _stage1(pow(3, 2 * n, c), 1, pow, chunks, c)
     if 1 < g < c:
         return g
     if g == 1:
@@ -433,17 +453,41 @@ def _pm1_divisor(c: int, n: int, d: int) -> int | None:
     if 1 < g < c:
         return g
     if g == 1:
-        v = _lucas_v(2 * (1 + d) * pow(1 - d, -1, c), e, c)
-        g = gcd(v - 2, c)
+        v = _lucas_v(2 * (1 + d) * pow(1 - d, -1, c), 2 * n, c)
+        g, v = _stage1(v, 2, _lucas_v, chunks, c)
         if 1 < g < c:
             return g
         if g == 1:
             values.append(v)
-    acc = 1
-    for v in values:
-        acc = acc * _stage2_product(v, c) % c
-    g = gcd(acc, c)
-    return g if 1 < g < c else None
+    return _stage2(values, k0, blocks, c)
+
+
+def _stage1(x: int, one: int, step, chunks, c: int) -> tuple[int, int]:
+    """Walk one side of stage 1 on c from x, its value after the 2n step.
+
+    step(x, e, c) raises the side by e: `pow` for p-1, `_lucas_v` for p+1.
+    A prime p of c is caught once x = one mod p. The gcd is taken after the
+    2n step and after each chunk; a chunk whose gcd is c is replayed one
+    prime at a time from its start. Returns (g, x): g is a proper divisor of
+    c, or c when a single step caught every prime of c (the side is
+    dropped), or 1 with x the value at the end of stage 1.
+    """
+    g = gcd(x - one, c)
+    if g > 1:
+        return g, x
+    for e, primes in chunks:
+        y = step(x, e, c)
+        g = gcd(y - one, c)
+        if g == c:
+            for q in primes:
+                x = step(x, q, c)
+                g = gcd(x - one, c)
+                if g > 1:
+                    break
+        if g > 1:
+            return g, x
+        x = y
+    return 1, x
 
 
 def _lucas_v(p: int, e: int, m: int) -> int:
@@ -467,59 +511,88 @@ def _lucas_v(p: int, e: int, m: int) -> int:
 _GIANT_STEP = 210
 
 
-def _stage2_product(v: int, c: int) -> int:
-    """prod (V_{kw}(v) - V_j(v)) mod c over the primes kw +- j in (STAGE1_BOUND, STAGE2_BOUND].
+def _stage2(values: list[int], k0: int, blocks, c: int) -> int | None:
+    """A proper divisor of c from stage 2 on the Lucas values of the sides left, or None.
 
-    With v = s + 1/s, V_{kw} - V_j = s^-kw (s^kw - s^j)(s^kw - s^-j), which
-    vanishes mod p when the order of s mod p divides kw - j or kw + j.
+    Each side v = s + 1/s walks the giant steps V_kw(v), and each term
+    V_kw - V_j = s^-kw (s^kw - s^j)(s^kw - s^-j) vanishes mod p when the
+    order of s mod p divides kw - j or kw + j. The terms of both sides go
+    into one product per block of giant steps; a block whose gcd is c is
+    replayed one term at a time, and a term that is 0 mod c is passed over.
     """
-    k0, plan = _stage2_plan(STAGE1_BOUND, STAGE2_BOUND)
-    if not plan:
-        return 1
+    if not values or not blocks:
+        return None
+    # a lone side is paired with itself: that squares the product, which
+    # leaves the primes of c dividing it as they were
+    pair = (values * 2)[:2]
+    (baby1, step1, p1, x1), (baby2, step2, p2, x2) = (_giant_walk(v, k0, c) for v in pair)
+    for block in blocks:
+        walk = []
+        for _ in block:
+            walk.append((x1, x2))
+            p1, x1 = x1, (step1 * x1 - p1) % c
+            p2, x2 = x2, (step2 * x2 - p2) % c
+        acc = 1
+        for (y1, y2), offsets in zip(walk, block):
+            for j in offsets:
+                acc = acc * (y1 - baby1[j]) * (y2 - baby2[j]) % c
+        g = gcd(acc, c)
+        if g == c:
+            terms = (t for (y1, y2), offsets in zip(walk, block)
+                     for j in offsets for t in (y1 - baby1[j], y2 - baby2[j]))
+            g = next((h for t in terms if 1 < (h := gcd(t, c)) < c), 1)
+        if g > 1:
+            return g
+    return None
+
+
+def _giant_walk(v: int, k0: int, c: int) -> tuple[list[int], int, int, int]:
+    """The baby steps V_0 .. V_{w/2} of v mod c, then V_w, V_{(k0-1)w} and V_{k0*w}.
+
+    w is _GIANT_STEP; the last two start the giant-step walk.
+    """
+    w = _GIANT_STEP
     baby = [2 % c, v]
-    while len(baby) <= _GIANT_STEP // 2:
+    while len(baby) <= w // 2:
         baby.append((v * baby[-1] - baby[-2]) % c)
-    step = _lucas_v(v, _GIANT_STEP, c)
-    prev, cur = _lucas_v(v, abs(k0 - 1) * _GIANT_STEP, c), _lucas_v(v, k0 * _GIANT_STEP, c)
-    acc = 1
-    for offsets in plan:
-        for j in offsets:
-            acc = acc * (cur - baby[j]) % c
-        prev, cur = cur, (step * cur - prev) % c
-    return acc
+    return baby, _lucas_v(v, w, c), _lucas_v(v, abs(k0 - 1) * w, c), _lucas_v(v, k0 * w, c)
 
 
 @lru_cache(maxsize=None)
-def _stage1_exponent(bound: int) -> int:
-    """prod q^floor(log_q bound) over the primes q <= bound; built on first use."""
-    e = 1
-    for q in _small_primes(bound + 1):
-        qk = q
-        while qk * q <= bound:
-            qk *= q
-        e *= qk
-    return e
+def _stage_tables(lo: int, hi: int):
+    """The stage tables for the bounds lo and hi, from one sieve; built on first use.
 
-
-@lru_cache(maxsize=None)
-def _stage2_plan(lo: int, hi: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """The giant steps covering the primes q in (lo, hi]; built on first use.
-
-    Returns k0 and one tuple per k = k0, k0 + 1, ... holding the offsets j
-    with k*_GIANT_STEP +- j such a prime.
+    Returns (chunks, k0, blocks). Stage 1 raises by each prime q <= lo,
+    floor(log_q lo) times, in chunks of (product, primes). Stage 2 walks the
+    giant steps k = k0, k0 + 1, ... in blocks, one tuple per k holding the
+    offsets j with k*_GIANT_STEP +- j a prime in (lo, hi].
     """
-    half = _GIANT_STEP // 2
-    primes = [q for q in _small_primes(hi + 1) if q > lo]
+    primes = _small_primes(max(lo, hi) + 1)
+    split = bisect_right(primes, lo)
+    walk = []
+    for q in primes[:split]:
+        qk = q
+        while qk <= lo:
+            walk.append(q)
+            qk *= q
+    # one gcd per 64 primes of stage 1 and per 32 giant steps of stage 2
+    chunks = tuple((prod(qs), qs) for qs in _pieces(walk, 64))
+    primes = primes[split:]
     if not primes:
-        return 0, ()
+        return chunks, 0, ()
+    half = _GIANT_STEP // 2
     k0 = (primes[0] + half) // _GIANT_STEP
-    plan: list[list[int]] = [[] for _ in range((primes[-1] + half) // _GIANT_STEP - k0 + 1)]
+    # dicts as ordered sets: kw - j and kw + j share the offset j
+    plan: list[dict[int, None]] = [{} for _ in range(k0, (primes[-1] + half) // _GIANT_STEP + 1)]
     for q in primes:
-        k = (q + half) // _GIANT_STEP
-        j = abs(q - k * _GIANT_STEP)
-        if j not in plan[k - k0]:
-            plan[k - k0].append(j)
-    return k0, tuple(tuple(js) for js in plan)
+        k, j = divmod(q + half, _GIANT_STEP)
+        plan[k - k0][abs(j - half)] = None
+    return chunks, k0, _pieces([tuple(js) for js in plan], 32)
+
+
+def _pieces(items: list, size: int) -> tuple[tuple, ...]:
+    """items cut into tuples of `size`, the last one shorter if need be."""
+    return tuple(tuple(items[i : i + size]) for i in range(0, len(items), size))
 
 
 def check_tau_prime_power(a: int, b: int, p: int, e: int) -> bool:

@@ -1,5 +1,7 @@
 """Factorization stack and the divisor-count bounds on F_n."""
 
+from math import prod
+
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
@@ -32,6 +34,22 @@ def test_is_prime_knowns():
     for c in composites:
         assert not is_prime(c), c
     assert not is_prime(0) and not is_prime(-7)
+
+
+@pytest.mark.parametrize("limit", [*range(12), 1000, 1001, 3001, 200001])
+def test_small_primes_matches_sympy(limit):
+    assert divisors._small_primes(limit) == tuple(sympy.primerange(2, limit))
+
+
+def test_is_prime_matches_sympy_on_small_numbers():
+    # the screen by the primes below 1000 is one gcd with their product:
+    # every n below 2*10^5, each of those primes, its square, and the
+    # products of two of them
+    small = divisors._SMALL_PRIMES
+    assert len(small) == 168 and small[-1] == 997
+    assert [is_prime(n) for n in range(2 * 10**5)] == [sympy.isprime(n) for n in range(2 * 10**5)]
+    cases = [*small, *(p * q for i, p in enumerate(small) for q in small[i:])]
+    assert [is_prime(n) for n in cases] == [sympy.isprime(n) for n in cases]
 
 
 def test_factorize_frozen():
@@ -253,8 +271,9 @@ def _check_against_oracles(a, b, n):
     assert primitive_divisors(a, b, n).primitive_primes == scanned, (a, b, n)
 
 
-# the four criterion-10 pairs are factored through the divisors of n; (2, 2)
-# and (4, 2) share a factor, so strong divisibility fails and F_n is factored whole
+# every pair is factored through the divisors of n from n = 4 on; (2, 2) and
+# (4, 2) share a factor, whose primes divide every F_n from n = 2 on and are
+# divided out first, while rank(p) | m <=> p | F_m holds for the other primes
 @pytest.mark.parametrize("a, b, n_max", [(1, 1, 60), (2, 1, 60), (1, 2, 60), (3, 1, 60),
                                          (2, 2, 40), (4, 2, 40)])
 def test_factor_f_against_oracles(a, b, n_max):
@@ -269,9 +288,11 @@ def test_factor_f_against_oracles_random_coefficients(a, b, n):
 
 
 # indices that hit the rho budget when F_n was factored whole, and are
-# factored through the divisors of n now (criterion 10's former skip set)
+# factored through the divisors of n now (criterion 10's former skip set, and
+# three indices of pairs with gcd(a, b) > 1)
 @pytest.mark.parametrize("a, b, n", [(2, 1, 94), (2, 1, 118), (3, 1, 85), (3, 1, 94),
-                                     (3, 1, 101), (3, 1, 111), (3, 1, 114), (3, 1, 116)])
+                                     (3, 1, 101), (3, 1, 111), (3, 1, 114), (3, 1, 116),
+                                     (4, 2, 82), (4, 2, 86), (3, 3, 94)])
 def test_formerly_skipped_indices_factor_exactly(a, b, n):
     fac = divisors._factor_f(a, b, n)
     prod = 1
@@ -386,3 +407,98 @@ def test_smooth_split_returns_primes_that_rebuild_the_input(starts, n, d):
     for p, e in counts.items():
         prod *= p**e
     assert prod == m
+
+
+def _stage1_exponent():
+    """prod q^floor(log_q STAGE1_BOUND) over the primes q <= STAGE1_BOUND."""
+    e = 1
+    for q in sympy.primerange(2, divisors.STAGE1_BOUND + 1):
+        qk = q
+        while qk * q <= divisors.STAGE1_BOUND:
+            qk *= q
+        e *= qk
+    return e
+
+
+def test_stage_tables_cover_each_stage():
+    b1, b2 = divisors.STAGE1_BOUND, divisors.STAGE2_BOUND
+    chunks, k0, blocks = divisors._stage_tables(b1, b2)
+    # stage 1: every prime up to B1 as often as its largest power up to B1
+    walk = [q for _, qs in chunks for q in qs]
+    assert walk == sorted(walk) and prod(walk) == _stage1_exponent()
+    assert all(e == prod(qs) for e, qs in chunks)
+    # stage 2: the giant steps k*210 +- j cover the primes in (B1, B2], and
+    # each offset j of a step stands for at least one of them
+    w = divisors._GIANT_STEP
+    steps = [js for block in blocks for js in block]
+    pairs = [((k0 + i) * w - j, (k0 + i) * w + j) for i, js in enumerate(steps) for j in js]
+    primes = set(sympy.primerange(b1 + 1, b2 + 1))
+    assert primes == {q for pair in pairs for q in pair} & primes
+    assert all(set(pair) & primes for pair in pairs) and len(set(pairs)) == len(pairs)
+
+
+# n = 101, d = 5 (the pair (1, 1)): pairs of primes that one gcd over the
+# whole of stage 1, or over the whole of stage 2, catches together
+PM1_PAIR = (9650551, 152954686037554861930792141)  # p = 1 mod 101, p - 1 smooth to 47
+PP1_PAIR = (1263993587, 23314116054012281783)  # p = -1 mod 101, (5/p) = -1, p + 1 smooth to 53
+STAGE2_PAIR = (9567567741481, 1946521850608140963301)  # p - 1 smooth but for 49877 and 50077
+
+
+def test_pm1_backoff_splits_a_stage1_collision():
+    c = PM1_PAIR[0] * PM1_PAIR[1]
+    for p in PM1_PAIR:
+        assert sympy.isprime(p) and p % 101 == 1 and max(sympy.factorint((p - 1) // 202)) <= 47
+    assert pow(3, 2 * 101 * _stage1_exponent(), c) == 1
+    assert divisors._pm1_divisor(c, 101, 5) in PM1_PAIR
+
+
+def test_pp1_backoff_splits_a_stage1_collision():
+    c = PP1_PAIR[0] * PP1_PAIR[1]
+    for p in PP1_PAIR:
+        assert sympy.isprime(p) and p % 101 == 100 and sympy.jacobi_symbol(5, p) == -1
+        assert max(sympy.factorint((p + 1) // 202)) <= 53
+        assert max(sympy.factorint(p - 1)) > divisors.STAGE2_BOUND
+    seed = 2 * (1 + 5) * pow(1 - 5, -1, c)
+    assert divisors._lucas_v(seed, 2 * 101 * _stage1_exponent(), c) == 2
+    assert divisors._pm1_divisor(c, 101, 5) in PP1_PAIR
+
+
+def test_stage2_backoff_splits_a_collision_in_one_giant_step(monkeypatch):
+    c = STAGE2_PAIR[0] * STAGE2_PAIR[1]
+    e = 2 * 101 * _stage1_exponent()
+    for p, q in zip(STAGE2_PAIR, (49877, 50077)):
+        assert sympy.isprime(p) and sympy.isprime(q) and p % 101 == 1
+        assert max(sympy.factorint((p - 1) // (202 * q))) <= 43
+        assert pow(3, e, p) != 1 and pow(3, e * q, p) == 1
+    # 49877 = 238*210 - 103 and 50077 = 238*210 + 97: the same giant step
+    assert (49877 + 105) // 210 == (50077 + 105) // 210
+    assert divisors._pm1_divisor(c, 101, 5) in STAGE2_PAIR
+    monkeypatch.setattr(divisors, "STAGE2_BOUND", divisors.STAGE1_BOUND)
+    assert divisors._pm1_divisor(c, 101, 5) is None
+
+
+def _smooth_primes(sign):
+    """The primes p = 202m + sign, m a product of primes up to 13 below 10^6, with (5/p) = -1 when sign is -1."""
+    ms = [1]
+    for q in (2, 3, 5, 7, 11, 13):
+        ms = [m * q**k for m in ms for k in range(6) if m * q**k < 10**6]
+    ps = [202 * m + sign for m in sorted(ms)]
+    return [p for p in ps if sympy.isprime(p) and (sign == 1 or sympy.jacobi_symbol(5, p) == -1)]
+
+
+SMOOTH_PRIMES = _smooth_primes(1) + _smooth_primes(-1)
+
+
+@given(st.lists(st.sampled_from(SMOOTH_PRIMES), min_size=2, max_size=4, unique=True))
+@settings(max_examples=80, deadline=None)
+def test_backoff_pieces_are_prime_and_rebuild_the_input(primes):
+    # the primes are +-1 mod 101 with p -+ 1 smooth, so stage-1 gcds often
+    # catch several at once; whatever the stage splits must be exact
+    m = prod(primes)
+    g = divisors._pm1_divisor(m, 101, 5)
+    assert g is None or (1 < g < m and m % g == 0)
+    counts = {}
+    rest = divisors._smooth_split(m, 101, 5, counts)
+    assert all(sympy.isprime(p) for p in counts)
+    assert rest == 1 or not sympy.isprime(rest)
+    assert rest * prod(p**e for p, e in counts.items()) == m

@@ -26,10 +26,10 @@ def test_import_builds_no_lazy_tables():
     code = (
         "import genfib\n"
         "from genfib import cli, divisors\n"
-        "lazy = (divisors._stage1_exponent, divisors._stage2_plan, cli._build_parser)\n"
+        "lazy = (divisors._stage_tables, cli._build_parser)\n"
         "print([f.cache_info().currsize for f in lazy])\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[0, 0, 0]\n"
+    assert proc.stdout == "[0, 0]\n"
