@@ -14,7 +14,7 @@ import sys
 from functools import cache
 from math import gcd
 
-from .core import SequenceParams, g_fast, g_iter
+from .core import SequenceParams, check_digit_cap, g_fast, g_iter
 from .diophantine import (
     Family,
     _square_pairs_grid,
@@ -82,6 +82,7 @@ def _echo(p: SequenceParams) -> dict:
 
 def _cmd_compute(args, run: _Run) -> None:
     p = SequenceParams(args.u, args.v, args.a, args.b)
+    check_digit_cap(p, args.n)
     if args.method == "iter":
         value = g_iter(p, args.n)
     elif args.method == "fast":
@@ -298,12 +299,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="genfib",
         description="Generalized Fibonacci sequences: identities, divisibility, "
         "Diophantine families, and divisor-count bounds.",
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="cap on internal parallelism (execution may be sequential)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

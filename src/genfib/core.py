@@ -9,9 +9,13 @@ the reference oracle) and by fast doubling (logarithmic time).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt, log10, sqrt
 
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
+
+# Evaluating G_n is refused up front when its value could have more decimal
+# digits than this.
+EVAL_DIGIT_LIMIT = 10**6
 
 
 @dataclass(frozen=True)
@@ -44,6 +48,39 @@ class PairState:
 def _require_index(n: int) -> None:
     if n < 0:
         raise DomainError(f"index must be non-negative, got {n}")
+
+
+def digit_bound(p: SequenceParams, n: int) -> float:
+    """An upper bound on the number of decimal digits of G_n, n >= 0, from the roots of x^2 - a*x - b.
+
+    Whether the roots alpha, beta are distinct, repeated or complex,
+    F_n = sum of alpha^k * beta^(n-1-k) over 0 <= k < n, so |F_n| <= n*R^(n-1)
+    with R the larger root modulus, taken as 1 if it is smaller. Then
+    G_n = v*F_n + b*u*F_{n-1} gives |G_n| <= (|v| + |b*u|) * n * R^(n-1), whose
+    log10, plus one, bounds the digit count.
+    """
+    _require_index(n)
+    if n == 0:
+        return log10(max(abs(p.u), 1)) + 1
+    d = p.a * p.a + 4 * p.b
+    if d < 0:
+        log_r = log10(-p.b) / 2
+    else:
+        # 2R = |a| + sqrt(d); above float range, isqrt(d) + 1 bounds sqrt(d)
+        twice = abs(p.a) + (sqrt(d) if d < 2**1000 else isqrt(d) + 1)
+        log_r = log10(twice) - log10(2) if twice > 2 else 0.0
+    # R is 1 or at least sqrt(2), so when R > 1 an index of 10^18 is already
+    # far over the cap, and n beyond it need not be converted to a float
+    growth = (min(n, 10**18) - 1) * log_r
+    return log10(max(abs(p.v) + abs(p.b * p.u), 1)) + log10(n) + growth + 1
+
+
+def check_digit_cap(p: SequenceParams, n: int) -> None:
+    """Raise ResourceLimitError when G_n could have more than EVAL_DIGIT_LIMIT digits."""
+    digits = int(digit_bound(p, n))
+    if digits > EVAL_DIGIT_LIMIT:
+        raise ResourceLimitError(
+            f"G_{n} may have up to {digits} digits, above the {EVAL_DIGIT_LIMIT}-digit cap")
 
 
 def is_cquence(p: SequenceParams) -> bool:

@@ -16,17 +16,23 @@ q | n, are the primes of F_n whose rank is a proper divisor of n.
 memoised factorizations of the smaller terms. What is left is the primitive
 part, whose primes have rank n. Such a prime p is n itself or has
 n | p - (D/p) with D = a^2 + 4b, so it is +-1 mod n. The primitive part
-goes through three stages in turn:
+goes through four stages in turn:
 
-1. trial division by those candidates only, up to TRIAL_BOUND;
+1. trial division by those candidates only, up to TRIAL_BOUND = 10^4;
 2. Pollard p-1 and Williams p+1 started from the known factor 2n, which
    split a prime p = 1 mod n when p - 1 is smooth, and a prime p = -1 mod n
    when p + 1 is. The p+1 seed is built from D, so its discriminant is D
    times a square: for the primes with (D/p) = -1, which are the primitive
    primes = -1 mod n, it lies in the group of order p + 1. A gcd that
    catches every prime of the composite at once backs off to its last
-   checkpoint and replays the steps one at a time;
-3. rho, with the same budget, on whatever is still composite.
+   checkpoint and replays the steps one at a time. Starting from 2n, stage 1
+   already finds every candidate prime up to 2n * STAGE1_BOUND, which is why
+   the trial walk stops at 10^4;
+3. rho on whatever is still composite, with a quarter of RHO_BUDGET;
+4. ECM on Montgomery curves, on what rho leaves, over the same stage tables
+   as p-1/p+1. Its ECM_CURVES curves take about the time that the other
+   three quarters of the rho budget took; a composite that ECM cannot split
+   either is reported as stuck.
 
 The candidates only order the search: a cofactor is called prime by
 `is_prime` alone, and every factor is divided out of F_n itself. For n < 4,
@@ -42,7 +48,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import lru_cache, partial, wraps
 from itertools import compress
 from math import gcd, isqrt, prod
 
@@ -55,13 +61,16 @@ DIGIT_LIMIT = 80
 
 # The primitive part of F_n is trial-divided by its candidates up to
 # TRIAL_BOUND (the generic factorize trial-divides by the primes below 1000
-# only); RHO_BUDGET caps the rho steps of one factorization. The p-1/p+1 stage
-# on the primitive part runs stage 1 over the prime powers up to STAGE1_BOUND
-# and stage 2 over the primes up to STAGE2_BOUND.
-TRIAL_BOUND = 10**6
+# only); RHO_BUDGET caps the rho steps of one factorization, of which rho on
+# the primitive part gets a quarter. The p-1/p+1 stage and ECM on the
+# primitive part run stage 1 over the prime powers up to STAGE1_BOUND and
+# stage 2 over the primes up to STAGE2_BOUND; ECM tries at most ECM_CURVES
+# curves per factorization.
+TRIAL_BOUND = 10**4
 RHO_BUDGET = 4_000_000
 STAGE1_BOUND = 3000
 STAGE2_BOUND = 200_000
+ECM_CURVES = 60
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -355,8 +364,11 @@ def _factor_f(a: int, b: int, n: int) -> Factorization:
         if m > 1:
             m = _smooth_split(m, n, a * a + 4 * b, counts)
         if m > 1:
-            # seeded from the composite it splits, so the walk depends on it alone
-            _rho_split(m, counts, m, RHO_BUDGET)
+            m = _rho_share(m, counts)
+        if m > 1:
+            m = _ecm_split(m, counts, ECM_CURVES)
+        if m > 1:
+            raise RhoBudgetError(fn, m)
     except RhoBudgetError as exc:
         # the composite left unsplit, in some F_{n/q} or in the primitive
         # part, divides F_n; name F_n as the number abandoned
@@ -404,10 +416,16 @@ def _trial_primitive(m: int, n: int, counts: dict[int, int]) -> int:
 
 
 def _smooth_split(m: int, n: int, d: int, counts: dict[int, int]) -> int:
-    """Split the composite primitive part m of F_n by `_pm1_divisor`.
+    """Split the composite primitive part m of F_n by `_pm1_divisor`; see `_split`."""
+    return _split(m, counts, lambda c: _pm1_divisor(c, n, d))
+
+
+def _split(m: int, counts: dict[int, int], divisor) -> int:
+    """Split m > 1 into pieces by divisor(c), a proper divisor of the composite c or None.
 
     A piece is recorded in counts only when is_prime accepts it; the product
-    of the composite pieces left unsplit is returned (1 if none), for rho.
+    of the composite pieces left unsplit is returned (1 if none), for the
+    next stage.
     """
     rest = 1
     stack = [m]
@@ -415,11 +433,30 @@ def _smooth_split(m: int, n: int, d: int, counts: dict[int, int]) -> int:
         c = stack.pop()
         if is_prime(c):
             counts[c] = counts.get(c, 0) + 1
-        elif (g := _pm1_divisor(c, n, d)) is None:
+        elif (g := divisor(c)) is None:
             rest *= c
         else:
             stack += (g, c // g)
     return rest
+
+
+def _rho_share(m: int, counts: dict[int, int]) -> int:
+    """Split m by rho with a quarter of RHO_BUDGET; returns the part of m left unsplit.
+
+    The generator is seeded from m, so the walk depends on m alone. The
+    primes rho finds go to counts even when it runs out of steps, and what
+    is left then (the composite it was stuck on, times the pieces it had not
+    reached) is returned for ECM.
+    """
+    found: dict[int, int] = {}
+    try:
+        _rho_split(m, found, m, RHO_BUDGET // 4)
+        left = 1
+    except RhoBudgetError:
+        left = m // prod(p**e for p, e in found.items())
+    for p, e in found.items():
+        counts[p] = counts.get(p, 0) + e
+    return left
 
 
 def _pm1_divisor(c: int, n: int, d: int) -> int | None:
@@ -444,7 +481,7 @@ def _pm1_divisor(c: int, n: int, d: int) -> int | None:
         return 3
     chunks, k0, blocks = _stage_tables(STAGE1_BOUND, STAGE2_BOUND)
     values = []
-    g, x = _stage1(pow(3, 2 * n, c), 1, pow, chunks, c)
+    g, x = _stage1(pow(3, 2 * n, c), lambda x: x - 1, pow, chunks, c)
     if 1 < g < c:
         return g
     if g == 1:
@@ -454,7 +491,7 @@ def _pm1_divisor(c: int, n: int, d: int) -> int | None:
         return g
     if g == 1:
         v = _lucas_v(2 * (1 + d) * pow(1 - d, -1, c), 2 * n, c)
-        g, v = _stage1(v, 2, _lucas_v, chunks, c)
+        g, v = _stage1(v, lambda v: v - 2, _lucas_v, chunks, c)
         if 1 < g < c:
             return g
         if g == 1:
@@ -462,26 +499,26 @@ def _pm1_divisor(c: int, n: int, d: int) -> int | None:
     return _stage2(values, k0, blocks, c)
 
 
-def _stage1(x: int, one: int, step, chunks, c: int) -> tuple[int, int]:
-    """Walk one side of stage 1 on c from x, its value after the 2n step.
+def _stage1(x, key, step, chunks, c: int):
+    """Walk stage 1 on c from the point x, which is the start or the value after the 2n step.
 
-    step(x, e, c) raises the side by e: `pow` for p-1, `_lucas_v` for p+1.
-    A prime p of c is caught once x = one mod p. The gcd is taken after the
-    2n step and after each chunk; a chunk whose gcd is c is replayed one
-    prime at a time from its start. Returns (g, x): g is a proper divisor of
-    c, or c when a single step caught every prime of c (the side is
-    dropped), or 1 with x the value at the end of stage 1.
+    step(x, e, c) multiplies the point by e: `pow` for p-1, `_lucas_v` for
+    p+1, `_ecm_mul` for ECM. A prime p of c is caught once key(x) = 0 mod p.
+    The gcd is taken at the start and after each chunk; a chunk whose gcd is
+    c is replayed one prime at a time from its start. Returns (g, x): g is a
+    proper divisor of c, or c when a single step caught every prime of c
+    (the point is dropped), or 1 with x the point at the end of stage 1.
     """
-    g = gcd(x - one, c)
+    g = gcd(key(x), c)
     if g > 1:
         return g, x
     for e, primes in chunks:
         y = step(x, e, c)
-        g = gcd(y - one, c)
+        g = gcd(key(y), c)
         if g == c:
             for q in primes:
                 x = step(x, q, c)
-                g = gcd(x - one, c)
+                g = gcd(key(x), c)
                 if g > 1:
                     break
         if g > 1:
@@ -556,6 +593,136 @@ def _giant_walk(v: int, k0: int, c: int) -> tuple[list[int], int, int, int]:
     while len(baby) <= w // 2:
         baby.append((v * baby[-1] - baby[-2]) % c)
     return baby, _lucas_v(v, w, c), _lucas_v(v, abs(k0 - 1) * w, c), _lucas_v(v, k0 * w, c)
+
+
+def _ecm_split(m: int, counts: dict[int, int], curves: int) -> int:
+    """Split m by ECM, on at most `curves` curves in all; see `_split`.
+
+    The curves for a composite c are drawn from a generator seeded from c,
+    so the split depends on c alone.
+    """
+    def divisor(c: int) -> int | None:
+        nonlocal curves
+        rng = random.Random(c)
+        while curves > 0:
+            curves -= 1
+            if g := _ecm_curve(c, rng.randrange(6, c - 1)):
+                return g
+        return None
+
+    return _split(m, counts, divisor)
+
+
+def _ecm_curve(c: int, sigma: int) -> int | None:
+    """A proper divisor of c from one ECM curve, or None.
+
+    The curve is Montgomery's B y^2 = x^3 + A x^2 + x with Suyama's
+    parametrization by sigma, whose group order is divisible by 12, and the
+    point is its x-coordinate in projective form (X : Z). A prime p of c is
+    caught once the order of the point mod p divides what it has been
+    multiplied by, which shows as p | Z. Stage 1 walks the p-1/p+1 chunks;
+    stage 2 allows one more prime in (STAGE1_BOUND, STAGE2_BOUND].
+    """
+    u = (sigma * sigma - 5) % c
+    v = 4 * sigma % c
+    x, z = pow(u, 3, c), pow(v, 3, c)
+    # (A + 2)/4 = (v - u)^3 (3u + v) / (16 u^3 v)
+    den = 16 * x * v % c
+    g = gcd(den, c)
+    if g > 1:
+        return g if g < c else None
+    a24 = pow(v - u, 3, c) * (3 * u + v) * pow(den, -1, c) % c
+    chunks, k0, blocks = _stage_tables(STAGE1_BOUND, STAGE2_BOUND)
+    g, pt = _stage1((x, z), lambda pt: pt[1], partial(_ecm_mul, a24=a24), chunks, c)
+    if g > 1:
+        return g if g < c else None
+    return _ecm_stage2(pt, a24, k0, blocks, c)
+
+
+def _ecm_mul(pt: tuple[int, int], e: int, c: int, a24: int) -> tuple[int, int]:
+    """[e]pt mod c for e >= 1, by the Montgomery ladder on (X : Z).
+
+    The ladder keeps (R0, R1) = ([k]pt, [k+1]pt), whose difference is pt, so
+    each bit of e costs one differential addition and one doubling.
+    """
+    r0, r1 = pt, _ecm_double(*pt, c, a24)
+    for bit in bin(e)[3:]:
+        if bit == "1":
+            r0, r1 = _ecm_add(r1, r0, pt, c), _ecm_double(*r1, c, a24)
+        else:
+            r0, r1 = _ecm_double(*r0, c, a24), _ecm_add(r1, r0, pt, c)
+    return r0
+
+
+def _ecm_double(x: int, z: int, c: int, a24: int) -> tuple[int, int]:
+    """[2](X : Z) mod c on the curve with (A + 2)/4 = a24."""
+    s = (x + z) ** 2 % c
+    t = (x - z) ** 2 % c
+    d = s - t
+    return s * t % c, d * (t + a24 * d) % c
+
+
+def _ecm_add(p: tuple[int, int], q: tuple[int, int], diff: tuple[int, int], c: int) -> tuple[int, int]:
+    """p + q mod c, given p - q = diff, which must not be the point at infinity."""
+    s = (p[0] - p[1]) * (q[0] + q[1]) % c
+    t = (p[0] + p[1]) * (q[0] - q[1]) % c
+    return diff[1] * (s + t) ** 2 % c, diff[0] * (s - t) ** 2 % c
+
+
+def _ecm_stage2(pt: tuple[int, int], a24: int, k0: int, blocks, c: int) -> int | None:
+    """A proper divisor of c from ECM stage 2 on the stage-1 point Q = pt, or None.
+
+    For a prime q = kw +- j of stage 2 (w = _GIANT_STEP), [q]Q is the point
+    at infinity mod p exactly when [kw]Q = -+[j]Q mod p, that is when their
+    x-coordinates agree: p | X_kw - x_j Z_kw, with the baby x_j = X_j / Z_j
+    made affine by one batch inversion. The giant steps walk [kw]Q by
+    differential additions of [w]Q. The terms go into one product per block
+    of giant steps; a block whose gcd is c is replayed one term at a time,
+    and a term that is 0 mod c is passed over.
+    """
+    # the walk starts from [(k0 - 1)w]Q, which must not be the point at
+    # infinity; the default bounds give k0 = 14
+    if not blocks or k0 < 2:
+        return None
+    w = _GIANT_STEP
+    twice = _ecm_double(*pt, c, a24)
+    babies = {1: pt, 3: _ecm_add(twice, pt, pt, c)}
+    for j in range(5, w // 2, 2):
+        babies[j] = _ecm_add(babies[j - 2], twice, babies[j - 4], c)
+    js = [j for j in babies if gcd(j, w) == 1]
+    # batch inversion: invert the product of the Z_j once, then peel it off
+    before = []
+    total = 1
+    for j in js:
+        before.append(total)
+        total = total * babies[j][1] % c
+    g = gcd(total, c)
+    if g > 1:
+        return next((h for j in js if 1 < (h := gcd(babies[j][1], c)) < c), None)
+    inv = pow(total, -1, c)
+    baby = {}
+    for j, b in zip(reversed(js), reversed(before)):
+        x, z = babies[j]
+        baby[j] = x * inv * b % c
+        inv = inv * z % c
+    giant = _ecm_mul(pt, w, c, a24)
+    prev, cur = _ecm_mul(giant, k0 - 1, c, a24), _ecm_mul(giant, k0, c, a24)
+    for block in blocks:
+        walk = []
+        for _ in block:
+            walk.append(cur)
+            prev, cur = cur, _ecm_add(cur, giant, prev, c)
+        acc = 1
+        for (x, z), offsets in zip(walk, block):
+            for j in offsets:
+                acc = acc * (x - baby[j] * z) % c
+        g = gcd(acc, c)
+        if g == c:
+            terms = (x - baby[j] * z for (x, z), offsets in zip(walk, block) for j in offsets)
+            g = next((h for t in terms if 1 < (h := gcd(t, c)) < c), 1)
+        if g > 1:
+            return g
+    return None
 
 
 @lru_cache(maxsize=None)

@@ -28,8 +28,10 @@ class ResourceLimitError(RuntimeError):
 class RhoBudgetError(ResourceLimitError):
     """Pollard rho spent its step budget without splitting a composite.
 
-    `whole` is the number whose factorization was abandoned and `stuck` the
-    composite divisor of it that rho could not split.
+    On the primitive part of F_n, ECM runs after rho and this is raised once
+    ECM has spent its curves as well. `whole` is the number whose
+    factorization was abandoned and `stuck` the composite divisor of it that
+    could not be split.
     """
 
     def __init__(self, whole: int, stuck: int):

@@ -296,10 +296,10 @@ def test_criterion_10_divisor_count_bounds():
                 continue
             if not (tb.omega_bound_ok and tb.tau_bound_ok):
                 violations.append((a, b, n))
-    # skips are deterministic (seeded rho, fixed budget); pin them
+    # skips are deterministic (seeded rho and ECM, fixed budgets); pin them
     skips_ok = skips == {
         (2, 1): [113],
-        (3, 1): [107, 113, 115],
+        (3, 1): [113],
     }
     powers_ok = all(check_tau_prime_power(1, 1, p, e)
                     for p, e in [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1)])

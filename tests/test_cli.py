@@ -6,7 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-from genfib import cli
+from genfib import SequenceParams, cli
+from genfib.core import check_digit_cap
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -45,6 +46,24 @@ def test_compute_methods_agree():
         assert proc.returncode == 0
         vals.add(records(proc)[0]["value"])
     assert vals == {-44276827}
+
+
+def test_compute_refuses_huge_index():
+    # F_(10^12) would have about 2*10^11 digits; it is refused before any work
+    proc = run_cli("compute", "--u", "0", "--v", "1", "--a", "1", "--b", "1", "--n", str(10**12))
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert "above the 1000000-digit cap" in proc.stderr
+
+
+def test_compute_cap_edge():
+    # 4784941 is the last index of F whose digit bound is within the cap;
+    # F_4784941 itself has 999994 digits
+    p = SequenceParams(0, 1, 1, 1)
+    check_digit_cap(p, 4784941)
+    proc = run_cli("compute", "--u", "0", "--v", "1", "--a", "1", "--b", "1", "--n", "4784942")
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr == ("resource limit: G_4784942 may have up to 1000001 digits, "
+                           "above the 1000000-digit cap\n")
 
 
 def test_compute_binet_repeated_root_dispatch():
@@ -185,12 +204,6 @@ def test_hypothesis_violation_exits_2_with_diagnostic():
                    "--k-max", "4", "--parity", "even")
     assert proc.returncode == 2
     assert proc.stdout == "" and "square" in proc.stderr
-
-
-def test_threads_flag_accepted():
-    proc = run_cli("--threads", "4", "compute", "--u", "0", "--v", "1", "--a", "1",
-                   "--b", "1", "--n", "10")
-    assert proc.returncode == 0 and records(proc)[0]["value"] == 55
 
 
 def test_repeat_runs_byte_identical():

@@ -4,11 +4,14 @@ The reference below is written independently of the library so the two
 implementations cannot share a bug.
 """
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from genfib import DomainError, SequenceParams, f_fast, g_fast, g_iter, g_prefix, is_cquence
-from genfib.core import PairState, _f_state
+from genfib import ResourceLimitError
+from genfib.core import EVAL_DIGIT_LIMIT, PairState, _f_state, check_digit_cap, digit_bound
 
 
 def reference(u, v, a, b, n):
@@ -111,3 +114,57 @@ def test_is_cquence():
 
 def test_f_params():
     assert SequenceParams(4, 9, 2, 3).f_params() == SequenceParams(0, 1, 2, 3)
+
+
+@given(st.integers(-50, 50), st.integers(-50, 50), st.integers(-6, 6), st.integers(-9, 9),
+       st.integers(0, 400))
+@settings(max_examples=300)
+def test_digit_bound_is_an_upper_bound(u, v, a, b, n):
+    # distinct real, repeated (a^2 + 4b = 0) and complex roots alike
+    value = abs(reference(u, v, a, b, n))
+    assert len(str(value)) <= digit_bound(SequenceParams(u, v, a, b), n)
+
+
+@pytest.mark.parametrize("a, b", [(1, 1), (2, 1), (1, 2), (3, 1), (5, 7)])
+def test_digit_bound_is_close_for_f(a, b):
+    # for positive coefficients F_n grows as R^n / sqrt(D), so the bound is
+    # off by little more than its log10(n) term
+    p = SequenceParams(0, 1, a, b)
+    for n in (10, 100, 1000, 3000):
+        assert digit_bound(p, n) - len(str(f_fast(a, b, n))) < math.log10(n) + 2
+
+
+def _last_index_below_cap(p):
+    lo, hi = 0, 10**18
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if int(digit_bound(p, mid)) <= EVAL_DIGIT_LIMIT:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def test_digit_cap_edges():
+    p = SequenceParams(0, 1, 1, 1)
+    n = _last_index_below_cap(p)
+    # F_n has n*log10(phi) - log10(sqrt(5)) digits, give or take one: the
+    # cap falls a few dozen indices below where F_n itself reaches 10^6 digits
+    phi = (1 + math.sqrt(5)) / 2
+    reach = (EVAL_DIGIT_LIMIT + math.log10(math.sqrt(5))) / math.log10(phi)
+    assert reach - 40 < n < reach
+    check_digit_cap(p, n)
+    with pytest.raises(ResourceLimitError, match="above the 1000000-digit cap"):
+        check_digit_cap(p, n + 1)
+    # repeated root 2 and complex roots of modulus sqrt(5)
+    for q in (SequenceParams(1, 3, 4, -4), SequenceParams(2, 1, 2, -5)):
+        n = _last_index_below_cap(q)
+        check_digit_cap(q, n)
+        with pytest.raises(ResourceLimitError):
+            check_digit_cap(q, n + 1)
+
+
+def test_digit_cap_passes_bounded_sequences():
+    # roots of modulus 1 grow at most linearly: no index is over the cap
+    for p in (SequenceParams(3, 5, 2, -1), SequenceParams(3, 5, 1, -1), SequenceParams(3, 5, 0, 1)):
+        check_digit_cap(p, 10**100)

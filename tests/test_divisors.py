@@ -289,10 +289,12 @@ def test_factor_f_against_oracles_random_coefficients(a, b, n):
 
 # indices that hit the rho budget when F_n was factored whole, and are
 # factored through the divisors of n now (criterion 10's former skip set, and
-# three indices of pairs with gcd(a, b) > 1)
+# three indices of pairs with gcd(a, b) > 1); ECM splits (3, 1) n = 107 and
+# n = 115, which stuck after p-1/p+1 and the whole rho budget
 @pytest.mark.parametrize("a, b, n", [(2, 1, 94), (2, 1, 118), (3, 1, 85), (3, 1, 94),
-                                     (3, 1, 101), (3, 1, 111), (3, 1, 114), (3, 1, 116),
-                                     (4, 2, 82), (4, 2, 86), (3, 3, 94)])
+                                     (3, 1, 101), (3, 1, 107), (3, 1, 111), (3, 1, 114),
+                                     (3, 1, 115), (3, 1, 116), (4, 2, 82), (4, 2, 86),
+                                     (3, 3, 94)])
 def test_formerly_skipped_indices_factor_exactly(a, b, n):
     fac = divisors._factor_f(a, b, n)
     prod = 1
@@ -303,22 +305,25 @@ def test_formerly_skipped_indices_factor_exactly(a, b, n):
 
 
 def test_skip_reason_names_whole_term():
-    # F_115 of (3, 1) is stuck in its primitive part, on a composite that
-    # neither p-1 nor p+1 splits; the reason names all of F_115
-    stuck = 342031920897076540295497833169
-    assert divisors._pm1_divisor(stuck, 115, 3 * 3 + 4) is None
+    # F_113 of (3, 1) is stuck in its primitive part, on a composite of two
+    # 19- and 20-digit primes that neither p-1, p+1, rho nor ECM splits; the
+    # reason names all of F_113
+    stuck = 158915998676783745374914020684094761481
+    assert divisors._pm1_divisor(stuck, 113, 3 * 3 + 4) is None
     with pytest.raises(ResourceLimitError) as info:
-        divisors._factor_f(3, 1, 115)
-    assert str(info.value) == f"rho budget exhausted factoring {f_fast(3, 1, 115)} (stuck on {stuck})"
+        divisors._factor_f(3, 1, 113)
+    assert str(info.value) == f"rho budget exhausted factoring {f_fast(3, 1, 113)} (stuck on {stuck})"
 
 
 @pytest.fixture
 def tiny_rho_budget(monkeypatch):
-    # the p-1/p+1 stage gets bounds too small to split anything, so rho is
-    # what runs out: 9375829 | F_73 of (1, 1) has p - 1 = 2^2*3*7*11*73*139
+    # the p-1/p+1 stage gets bounds too small to split anything and ECM no
+    # curves, so rho is what runs out: 9375829 | F_73 of (1, 1) has
+    # p - 1 = 2^2*3*7*11*73*139
     monkeypatch.setattr(divisors, "RHO_BUDGET", 10)
     monkeypatch.setattr(divisors, "STAGE1_BOUND", 1)
     monkeypatch.setattr(divisors, "STAGE2_BOUND", 1)
+    monkeypatch.setattr(divisors, "ECM_CURVES", 0)
     divisors._factor_f.cache_clear()
     yield
     divisors._factor_f.cache_clear()
@@ -502,3 +507,77 @@ def test_backoff_pieces_are_prime_and_rebuild_the_input(primes):
     assert all(sympy.isprime(p) for p in counts)
     assert rest == 1 or not sympy.isprime(rest)
     assert rest * prod(p**e for p, e in counts.items()) == m
+
+
+# (n, p, q): p = 1 and q = -1 mod n, 10 to 16 digits, with p - 1, p + 1,
+# q - 1 and q + 1 each divisible by a prime above STAGE2_BOUND, so that
+# p-1/p+1 cannot split p * q and ECM has to
+ECM_SEMIPRIMES = [
+    (101, 5942872927, 1434924069040601),
+    (97, 205380825313, 92018266108661),
+    (113, 4777455681181, 196765774228459),
+    (120, 67697068801, 3167696064125039),
+    (89, 9537610396285247, 4556250748854979),
+    (90, 154364196812671, 8397381398803109),
+]
+# the composites (3, 1) n = 107 and n = 115 were stuck on after p-1/p+1 and
+# the whole rho budget
+STUCK_107 = 10717864296222118140356082758847437970698729224475153
+STUCK_115 = 342031920897076540295497833169
+
+
+@pytest.mark.parametrize("n, p, q", ECM_SEMIPRIMES)
+def test_ecm_semiprimes_are_hard_for_pm1(n, p, q):
+    for r in (p, q):
+        assert sympy.isprime(r) and 10**9 <= r < 10**16
+        assert max(sympy.factorint(r - 1)) > divisors.STAGE2_BOUND
+        assert max(sympy.factorint(r + 1)) > divisors.STAGE2_BOUND
+    assert p % n == 1 and q % n == n - 1
+
+
+@pytest.mark.parametrize("c", [p * q for _, p, q in ECM_SEMIPRIMES] + [STUCK_107, STUCK_115])
+def test_ecm_split_matches_sympy(c):
+    counts = {}
+    assert divisors._ecm_split(c, counts, divisors.ECM_CURVES) == 1
+    assert tuple(sorted(counts.items())) == _sympy_factors(c)
+
+
+def test_ecm_stage2_splits_what_stage1_alone_does_not(monkeypatch):
+    # the third curve splits this p * q in stage 2; stage 1 alone splits it
+    # on none of the first ECM_CURVES curves
+    _, p, q = ECM_SEMIPRIMES[2]
+    assert divisors._ecm_split(p * q, {}, 2) == p * q
+    assert divisors._ecm_split(p * q, {}, 3) == 1
+    monkeypatch.setattr(divisors, "STAGE2_BOUND", divisors.STAGE1_BOUND)
+    assert divisors._ecm_split(p * q, {}, divisors.ECM_CURVES) == p * q
+
+
+@given(st.lists(st.integers(10**4, 10**12), min_size=1, max_size=4), st.integers(0, 3))
+@settings(max_examples=40, deadline=None)
+def test_ecm_pieces_are_prime_and_rebuild_the_input(starts, curves):
+    # a curve can catch several primes at once, or all of them; whatever
+    # ECM records must be prime, and the pieces must multiply back
+    m = prod(sympy.nextprime(x) for x in starts)
+    counts = {}
+    rest = divisors._ecm_split(m, counts, curves)
+    assert all(sympy.isprime(p) for p in counts)
+    assert rest == 1 or not sympy.isprime(rest)
+    assert rest * prod(p**e for p, e in counts.items()) == m
+
+
+def test_ecm_curve_budget_names_the_stuck_composite(monkeypatch):
+    # rho is given no steps, so ECM gets the primitive part of F_115 of
+    # (3, 1) that p-1/p+1 leaves, 30887698889 * STUCK_115: three curves split
+    # it in two, and the 14th curve on STUCK_115, the 17th in all, splits that
+    monkeypatch.setattr(divisors, "RHO_BUDGET", 0)
+    monkeypatch.setattr(divisors, "ECM_CURVES", 16)
+    divisors._factor_f.cache_clear()
+    try:
+        with pytest.raises(ResourceLimitError) as info:
+            divisors._factor_f(3, 1, 115)
+        assert str(info.value) == f"rho budget exhausted factoring {f_fast(3, 1, 115)} (stuck on {STUCK_115})"
+        monkeypatch.setattr(divisors, "ECM_CURVES", 17)
+        divisors._factor_f.cache_clear()
+        assert divisors._factor_f(3, 1, 115).n == f_fast(3, 1, 115)
+    finally:
+        divisors._factor_f.cache_clear()
