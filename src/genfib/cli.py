@@ -48,7 +48,18 @@ class _Run:
     def emit(self, kind: str, status: str = OK, **payload) -> None:
         rec = {"kind": kind, "status": status}
         rec.update(payload)
-        self.stream.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
+        try:
+            line = json.dumps(rec, sort_keys=True, separators=(",", ":"))
+        except ValueError:
+            # an int past the interpreter's int -> str digit limit: lift the
+            # limit for this record only
+            limit = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(0)
+            try:
+                line = json.dumps(rec, sort_keys=True, separators=(",", ":"))
+            finally:
+                sys.set_int_max_str_digits(limit)
+        self.stream.write(line + "\n")
         if status == VIOLATED:
             self.violated = True
         elif status == SKIPPED:
@@ -89,10 +100,7 @@ def _cmd_compute(args, run: _Run) -> None:
         value = g_fast(p, args.n)
     else:
         if discriminant(p.a, p.b) == 0:
-            q = binet_repeated_root(p, args.n)
-            if q.denominator != 1:
-                raise AssertionError(f"repeated-root closed form gave the non-integer {q}")
-            value = int(q)
+            value = binet_repeated_root(p, args.n)
         else:
             value = binet_eval(p, args.n)
     run.emit("compute", method=args.method, n=args.n, value=value, **_echo(p))

@@ -1,11 +1,11 @@
 """Integer factorization and the divisor structure of F_n.
 
 `factorize` is the generic route: trial division by the primes below 1000,
-then a seeded Brent-cycle rho on whatever composite remains. Its results, and
-its rho-budget failures, are memoised for the default budget. Primality is
-Miller-Rabin with the twelve prime bases up to 37. That is a strong
-pseudoprime screen, not a proof: psi_12 = 318665857834031151167461 is
-composite and passes every base. A BPSW test is pending.
+then the tail on whatever composite remains. Its results, and its budget
+failures, are memoised. Primality is Miller-Rabin with the twelve prime bases
+up to 37. That is a strong pseudoprime screen, not a proof:
+psi_12 = 318665857834031151167461 is composite and passes every base. A BPSW
+test is pending.
 
 F_n is factored through its divisibility structure when n >= 4. A prime of
 gcd(a, b) divides every F_m from m = 2 on, and a prime of b alone divides
@@ -16,7 +16,7 @@ q | n, are the primes of F_n whose rank is a proper divisor of n.
 memoised factorizations of the smaller terms. What is left is the primitive
 part, whose primes have rank n. Such a prime p is n itself or has
 n | p - (D/p) with D = a^2 + 4b, so it is +-1 mod n. The primitive part
-goes through four stages in turn:
+goes through three stages in turn:
 
 1. trial division by those candidates only, up to TRIAL_BOUND = 10^4;
 2. Pollard p-1 and Williams p+1 started from the known factor 2n, which
@@ -28,16 +28,16 @@ goes through four stages in turn:
    checkpoint and replays the steps one at a time. Starting from 2n, stage 1
    already finds every candidate prime up to 2n * STAGE1_BOUND, which is why
    the trial walk stops at 10^4;
-3. rho on whatever is still composite, with a quarter of RHO_BUDGET;
-4. ECM on Montgomery curves, on what rho leaves, over the same stage tables
-   as p-1/p+1. Its ECM_CURVES curves take about the time that the other
-   three quarters of the rho budget took; a composite that ECM cannot split
-   either is reported as stuck.
+3. the tail on whatever is still composite.
 
 The candidates only order the search: a cofactor is called prime by
 `is_prime` alone, and every factor is divided out of F_n itself. For n < 4,
-F_n goes to `factorize` whole, and its primitive primes are found by
-scanning ranks.
+F_n goes to `factorize` whole.
+
+Both routes end in one tail: Brent rho over RHO_BUDGET = 10^6 steps, seeded
+from n for `factorize` and from the composite left after p-1/p+1 for F_n,
+then at most ECM_CURVES = 60 curves of ECM over the p-1/p+1 stage tables. A
+composite that both leave is stuck: RhoBudgetError names it and the whole.
 
 Everything downstream (tau, ranks of apparition, primitive prime divisors,
 tau lower bounds) builds on that.
@@ -61,13 +61,12 @@ DIGIT_LIMIT = 80
 
 # The primitive part of F_n is trial-divided by its candidates up to
 # TRIAL_BOUND (the generic factorize trial-divides by the primes below 1000
-# only); RHO_BUDGET caps the rho steps of one factorization, of which rho on
-# the primitive part gets a quarter. The p-1/p+1 stage and ECM on the
-# primitive part run stage 1 over the prime powers up to STAGE1_BOUND and
-# stage 2 over the primes up to STAGE2_BOUND; ECM tries at most ECM_CURVES
-# curves per factorization.
+# only). The tail of one factorization takes at most RHO_BUDGET rho steps and
+# then at most ECM_CURVES curves. The p-1/p+1 stage and ECM run stage 1 over
+# the prime powers up to STAGE1_BOUND and stage 2 over the primes up to
+# STAGE2_BOUND.
 TRIAL_BOUND = 10**4
-RHO_BUDGET = 4_000_000
+RHO_BUDGET = 1_000_000
 STAGE1_BOUND = 3000
 STAGE2_BOUND = 200_000
 ECM_CURVES = 60
@@ -210,26 +209,22 @@ def _memoised(func):
     return recall
 
 
-def factorize(n: int, *, rho_budget: int | None = None) -> Factorization:
+def factorize(n: int) -> Factorization:
     """Full prime factorization of a positive integer.
 
     Trial division by the primes below 1000 strips the small factors. A
     cofactor left is prime when it is below 1009^2, as it then has no prime
     factor up to its square root, or when is_prime accepts it; otherwise it
-    goes to Brent rho seeded from n itself, so repeated runs walk the
-    identical path. rho_budget caps the total rho steps for this call,
-    RHO_BUDGET by default; exhausting it raises ResourceLimitError. With the
-    default budget the result is memoised, and so is a ResourceLimitError; a
-    call with an explicit rho_budget bypasses the cache.
+    goes to the tail, with rho seeded from n itself. A composite that the
+    tail leaves raises RhoBudgetError naming n. The result is memoised, and
+    so is a ResourceLimitError.
     """
     if n < 1:
         raise DomainError(f"factorize needs a positive integer, got {n}")
-    if rho_budget is None:
-        return _factorize_memo(n, RHO_BUDGET)
-    return _factorize(n, rho_budget)
+    return _factorize_memo(n, RHO_BUDGET, ECM_CURVES)
 
 
-def _factorize(n: int, rho_budget: int) -> Factorization:
+def _factorize(n: int, steps: int, curves: int) -> Factorization:
     counts: dict[int, int] = {}
     m = n
     for p in _SMALL_PRIMES:
@@ -237,43 +232,14 @@ def _factorize(n: int, rho_budget: int) -> Factorization:
             break
         if m % p == 0:
             m = _divide_out(m, p, counts)
-    if m >= _TRIAL_SQUARE:
-        _rho_split(m, counts, n, rho_budget)
-    elif m > 1:
-        counts[m] = 1
+    if m > 1 and (m := _tail(m, counts, n, steps, curves)) > 1:
+        raise RhoBudgetError(n, m)
     return Factorization(n, tuple(sorted(counts.items())))
 
 
-# keyed on the budget as well, so a changed RHO_BUDGET never reads an entry
-# made under another
+# keyed on the budgets as well, so a changed RHO_BUDGET or ECM_CURVES never
+# reads an entry made under others
 _factorize_memo = _memoised(_factorize)
-
-
-def _rho_split(m: int, counts: dict[int, int], whole: int, budget: int) -> None:
-    """Add the prime factors of m > 1 to counts, splitting composites by Brent rho.
-
-    The generator is seeded from `whole`, the number being factored, so
-    repeated runs walk the identical path. Running out of budget raises
-    RhoBudgetError naming `whole` and the composite left unsplit.
-    """
-    if is_prime(m):
-        counts[m] = counts.get(m, 0) + 1
-        return
-    rng = random.Random(whole)
-    stack = [m]
-    while stack:
-        c = stack.pop()
-        if is_prime(c):
-            counts[c] = counts.get(c, 0) + 1
-            continue
-        factor = None
-        while factor is None:
-            factor, used = _brent_rho(c, rng, budget)
-            budget -= used
-            if factor is None and budget <= 0:
-                raise RhoBudgetError(whole, c)
-        stack.append(factor)
-        stack.append(c // factor)
 
 
 def tau(n: int) -> int:
@@ -287,19 +253,27 @@ def big_omega(n: int) -> int:
 
 
 def rank_of_apparition(a: int, b: int, p: int, limit: int = 5000) -> int | None:
-    """Least n >= 1 with p | F_n, or None if no such n <= limit exists.
+    """Least n >= 1 with p | F_n, or None if there is none.
 
-    Computed modulo p. When p | b and p does not divide a, no index ever
-    works, so None is a real answer rather than a search failure.
+    There is none exactly when some prime r of gcd(b, p) does not divide a,
+    as then F_n = a^(n-1) mod r for every n >= 1. Otherwise the rank exists
+    and is scanned for modulo p; a scan that passes `limit` raises
+    ResourceLimitError.
     """
     if p < 2:
         raise DomainError("p must be at least 2")
+    # strip from gcd(b, p) every prime that divides a; a prime left does not
+    g = gcd(b, p)
+    while (h := gcd(g, a)) > 1:
+        g //= h
+    if g > 1:
+        return None
     lo, hi = 0, 1 % p
     for n in range(1, limit + 1):
         if hi == 0:
             return n
         lo, hi = hi, (a * hi + b * lo) % p
-    return None
+    raise ResourceLimitError(f"the rank of apparition of {p} is above the scan limit {limit}")
 
 
 @dataclass(frozen=True)
@@ -314,34 +288,31 @@ class PrimitiveDivisorReport:
 def primitive_divisors(a: int, b: int, n: int) -> PrimitiveDivisorReport:
     """The prime factors of F_n whose rank of apparition is n.
 
-    From n = 4 on, where F_n is factored through its divisors, these are the
-    primes of F_n that divide neither gcd(a, b) nor any F_{n/q}, q a prime
-    factor of n. Below that the rank of each prime is found by scanning.
+    These are the primes of F_n outside `_imprimitive_primes`: those that
+    divide neither any F_{n/q}, q a prime factor of n, nor, when n > 2,
+    gcd(a, b).
     """
     if a <= 0 or b <= 0:
         raise HypothesisViolationError("coefficients must be positive")
     if n < 1:
         raise DomainError("n must be positive")
     fac = _factor_f(a, b, n)
-    if n >= 4:
-        imprimitive = _imprimitive_primes(a, b, n)
-        prims = tuple(p for p, _ in fac.factors if p not in imprimitive)
-    else:
-        prims = tuple(p for p, _ in fac.factors if rank_of_apparition(a, b, p, limit=n) == n)
+    imprimitive = _imprimitive_primes(a, b, n)
+    prims = tuple(p for p, _ in fac.factors if p not in imprimitive)
     return PrimitiveDivisorReport(n, prims, bool(prims))
 
 
 def _imprimitive_primes(a: int, b: int, n: int) -> set[int]:
-    """The primes of F_n, n >= 4, whose rank of apparition is below n.
+    """The primes of F_n whose rank of apparition is below n.
 
-    A prime of gcd(a, b) divides every F_m from m = 2 on, so its rank is 2.
-    A prime of b alone divides no F_m. Any other prime divides F_m exactly
-    when its rank divides m, so the rest are the primes of F_{n/q}, q | n
-    prime.
+    A prime of gcd(a, b) divides every F_m from m = 2 on, so its rank is 2,
+    below n when n > 2. A prime of b alone divides no F_m. Any other prime
+    divides F_m exactly when its rank divides m, so the rest are the primes
+    of F_{n/q}, q | n prime.
     """
     out = {p for q, _ in factorize(n).factors for p, _ in _factor_f(a, b, n // q).factors}
     g = gcd(a, b)
-    if g > 1:
+    if g > 1 and n > 2:
         out.update(p for p, _ in factorize(g).factors)
     return out
 
@@ -362,12 +333,8 @@ def _factor_f(a: int, b: int, n: int) -> Factorization:
             m = _divide_out(m, p, counts)
         m = _trial_primitive(m, n, counts)
         if m > 1:
-            m = _smooth_split(m, n, a * a + 4 * b, counts)
-        if m > 1:
-            m = _rho_share(m, counts)
-        if m > 1:
-            m = _ecm_split(m, counts, ECM_CURVES)
-        if m > 1:
+            m = _split(m, counts, partial(_pm1_divisor, n=n, d=a * a + 4 * b))
+        if m > 1 and (m := _tail(m, counts, m, RHO_BUDGET, ECM_CURVES)) > 1:
             raise RhoBudgetError(fn, m)
     except RhoBudgetError as exc:
         # the composite left unsplit, in some F_{n/q} or in the primitive
@@ -415,17 +382,13 @@ def _trial_primitive(m: int, n: int, counts: dict[int, int]) -> int:
     return m
 
 
-def _smooth_split(m: int, n: int, d: int, counts: dict[int, int]) -> int:
-    """Split the composite primitive part m of F_n by `_pm1_divisor`; see `_split`."""
-    return _split(m, counts, lambda c: _pm1_divisor(c, n, d))
-
-
 def _split(m: int, counts: dict[int, int], divisor) -> int:
     """Split m > 1 into pieces by divisor(c), a proper divisor of the composite c or None.
 
-    A piece is recorded in counts only when is_prime accepts it; the product
-    of the composite pieces left unsplit is returned (1 if none), for the
-    next stage.
+    This is the one loop that splits composites: p-1/p+1, rho and ECM each
+    supply a divisor. A piece is recorded in counts only when is_prime
+    accepts it; the product of the composite pieces left unsplit is returned
+    (1 if none), for the next stage.
     """
     rest = 1
     stack = [m]
@@ -440,23 +403,27 @@ def _split(m: int, counts: dict[int, int], divisor) -> int:
     return rest
 
 
-def _rho_share(m: int, counts: dict[int, int]) -> int:
-    """Split m by rho with a quarter of RHO_BUDGET; returns the part of m left unsplit.
+def _tail(m: int, counts: dict[int, int], seed: int, steps: int, curves: int) -> int:
+    """Split m > 1 by rho, then what rho leaves by ECM; returns the part of m left unsplit.
 
-    The generator is seeded from m, so the walk depends on m alone. The
-    primes rho finds go to counts even when it runs out of steps, and what
-    is left then (the composite it was stuck on, times the pieces it had not
-    reached) is returned for ECM.
+    Rho retries a composite until a walk splits it or `steps` steps are spent,
+    drawing from one generator seeded from `seed` and made on first use, as
+    seeding costs more than a prime m; then ECM takes at most `curves` curves.
     """
-    found: dict[int, int] = {}
-    try:
-        _rho_split(m, found, m, RHO_BUDGET // 4)
-        left = 1
-    except RhoBudgetError:
-        left = m // prod(p**e for p, e in found.items())
-    for p, e in found.items():
-        counts[p] = counts.get(p, 0) + e
-    return left
+    rng = None
+
+    def rho(c: int) -> int | None:
+        nonlocal steps, rng
+        rng = rng or random.Random(seed)
+        while steps > 0:
+            g, used = _brent_rho(c, rng, steps)
+            steps -= used
+            if g is not None:
+                return g
+        return None
+
+    m = _split(m, counts, rho)
+    return _ecm_split(m, counts, curves) if m > 1 else m
 
 
 def _pm1_divisor(c: int, n: int, d: int) -> int | None:

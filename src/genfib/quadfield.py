@@ -1,14 +1,13 @@
 """Exact arithmetic in Z[w] with w^2 = a*w + b, and closed-form evaluation.
 
 The characteristic roots of x^2 - a*x - b are alpha = w and beta = a - w.
-Keeping w symbolic makes every intermediate quantity an exact rational pair,
+Keeping w symbolic makes every intermediate quantity an exact integer pair,
 so closed-form values can be compared bit for bit against the recurrence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .core import SequenceParams, _require_index
 from .errors import (
@@ -25,24 +24,20 @@ def discriminant(a: int, b: int) -> int:
 
 @dataclass(frozen=True)
 class QuadInt:
-    """x + y*w in the ring defined by w^2 = a*w + b, with rational coefficients."""
+    """x + y*w in the ring defined by w^2 = a*w + b, with integer coefficients."""
 
-    x: Fraction
-    y: Fraction
+    x: int
+    y: int
     a: int
     b: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", Fraction(self.x))
-        object.__setattr__(self, "y", Fraction(self.y))
-
     @classmethod
     def one(cls, a: int, b: int) -> "QuadInt":
-        return cls(Fraction(1), Fraction(0), a, b)
+        return cls(1, 0, a, b)
 
     @classmethod
     def omega(cls, a: int, b: int) -> "QuadInt":
-        return cls(Fraction(0), Fraction(1), a, b)
+        return cls(0, 1, a, b)
 
     def _check(self, other: "QuadInt") -> None:
         if self.a != other.a or self.b != other.b:
@@ -62,7 +57,7 @@ class QuadInt:
     def __mul__(self, other: "QuadInt") -> "QuadInt":
         return quad_mul(self, other)
 
-    def scaled(self, c) -> "QuadInt":
+    def scaled(self, c: int) -> "QuadInt":
         return QuadInt(self.x * c, self.y * c, self.a, self.b)
 
 
@@ -106,22 +101,22 @@ def binet_eval(p: SequenceParams, n: int) -> int:
             f"(a,b)=({a},{b}) has a repeated root; use binet_repeated_root"
         )
     alpha = QuadInt.omega(a, b)
-    beta = QuadInt(Fraction(a), Fraction(-1), a, b)
+    beta = QuadInt(a, -1, a, b)
     an = quad_pow(alpha, n)
     bn = quad_pow(beta, n)
     num = (an - bn).scaled(p.v) + (quad_mul(alpha, bn) - quad_mul(an, beta)).scaled(p.u)
-    q = num.y / 2  # (alpha - beta) has w-coefficient 2
-    if q.denominator != 1 or num.x != -a * q:
+    q, r = divmod(num.y, 2)  # (alpha - beta) has w-coefficient 2
+    if r or num.x != -a * q:
         raise AssertionError("numerator not a multiple of alpha - beta")
-    return int(q)
+    return q
 
 
-def binet_repeated_root(p: SequenceParams, n: int) -> Fraction:
+def binet_repeated_root(p: SequenceParams, n: int) -> int:
     """Closed-form G_n when the discriminant vanishes (both roots equal a/2).
 
-    Returns (v*n + u*alpha*(1 - n)) * alpha^(n-1) as an exact rational; the
-    value is an integer whenever the parameters are. n = 0 is returned from
-    the seed directly, which also covers alpha = 0.
+    Returns (v*n + u*alpha*(1 - n)) * alpha^(n-1). a^2 + 4b = 0 makes a even,
+    so alpha = a // 2 is exact. n = 0 is returned from the seed directly,
+    which also covers alpha = 0.
     """
     _require_index(n)
     if discriminant(p.a, p.b) != 0:
@@ -129,6 +124,6 @@ def binet_repeated_root(p: SequenceParams, n: int) -> Fraction:
             f"(a,b)=({p.a},{p.b}) has distinct roots; use binet_eval"
         )
     if n == 0:
-        return Fraction(p.u)
-    alpha = Fraction(p.a, 2)
+        return p.u
+    alpha = p.a // 2
     return (p.v * n + p.u * alpha * (1 - n)) * alpha ** (n - 1)

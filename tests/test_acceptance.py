@@ -10,7 +10,6 @@ import random
 import subprocess
 import sys
 import time
-from fractions import Fraction
 from math import gcd, isqrt
 from pathlib import Path
 
@@ -86,10 +85,10 @@ def _binet_u_term_flipped(p, n):
     # same numerator with the u-term factors swapped; used as the sign control
     a, b = p.a, p.b
     alpha = QuadInt.omega(a, b)
-    beta = QuadInt(Fraction(a), Fraction(-1), a, b)
+    beta = QuadInt(a, -1, a, b)
     an, bn = quad_pow(alpha, n), quad_pow(beta, n)
     num = (an - bn).scaled(p.v) + (quad_mul(an, beta) - quad_mul(alpha, bn)).scaled(p.u)
-    return num.y / 2
+    return num.y // 2
 
 
 def test_criterion_02_binet_exactness():

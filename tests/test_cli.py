@@ -6,7 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from genfib import SequenceParams, cli
+from genfib import SequenceParams, cli, g_iter
 from genfib.core import check_digit_cap
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -64,6 +64,22 @@ def test_compute_cap_edge():
     assert proc.returncode == 3 and proc.stdout == ""
     assert proc.stderr == ("resource limit: G_4784942 may have up to 1000001 digits, "
                            "above the 1000000-digit cap\n")
+
+
+def test_compute_prints_values_past_the_str_digit_limit(capsys):
+    # F_25000 has 5225 digits, past the interpreter's default int -> str
+    # limit of 4300; the record is written and the limit is left as it was
+    limit = sys.get_int_max_str_digits()
+    assert 0 < limit < 5225
+    assert cli.run(["compute", "--u", "0", "--v", "1", "--a", "1", "--b", "1", "--n", "25000"]) == 0
+    assert sys.get_int_max_str_digits() == limit
+    out = capsys.readouterr().out
+    sys.set_int_max_str_digits(0)
+    try:
+        (rec,) = [json.loads(line) for line in out.splitlines()]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert rec["status"] == "ok" and rec["value"] == g_iter(SequenceParams(0, 1, 1, 1), 25000)
 
 
 def test_compute_binet_repeated_root_dispatch():

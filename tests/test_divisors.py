@@ -1,5 +1,6 @@
 """Factorization stack and the divisor-count bounds on F_n."""
 
+from functools import partial
 from math import prod
 
 import pytest
@@ -73,13 +74,18 @@ def test_factorize_deterministic():
     assert factorize(n).factors == factorize(n).factors == ((274177, 1), (67280421310721, 1))
 
 
-def test_rho_budget_is_enforced():
-    n = (10**9 + 7) * (10**9 + 9)
-    divisors._factorize_memo.cache_clear()
-    with pytest.raises(ResourceLimitError):
-        factorize(n, rho_budget=10)
-    # a call with an explicit budget leaves the default cache clean
-    assert factorize(n).factors == ((10**9 + 7, 1), (10**9 + 9, 1))
+def test_rho_budget_is_enforced(monkeypatch):
+    # 10 rho steps and no ECM curve leave the cofactor whole; the error names
+    # the number factored and the composite left
+    pq = (10**9 + 7) * (10**9 + 9)
+    monkeypatch.setattr(divisors, "RHO_BUDGET", 10)
+    monkeypatch.setattr(divisors, "ECM_CURVES", 0)
+    with pytest.raises(divisors.RhoBudgetError) as info:
+        factorize(6 * pq)
+    assert str(info.value) == f"rho budget exhausted factoring {6 * pq} (stuck on {pq})"
+    # ECM splits what the 10 rho steps leave
+    monkeypatch.setattr(divisors, "ECM_CURVES", 60)
+    assert factorize(6 * pq).factors == ((2, 1), (3, 1), (10**9 + 7, 1), (10**9 + 9, 1))
 
 
 def _sympy_factors(n):
@@ -128,33 +134,44 @@ def test_factorize_matches_sympy_on_hard_corpus(n):
     assert factorize(n).factors == _sympy_factors(n)
 
 
-def _count_rho_calls(monkeypatch):
+def _count_rho_walks(monkeypatch):
     calls = []
-    rho_split = divisors._rho_split
+    brent_rho = divisors._brent_rho
 
     def counted(*args):
         calls.append(args)
-        return rho_split(*args)
+        return brent_rho(*args)
 
-    monkeypatch.setattr(divisors, "_rho_split", counted)
+    monkeypatch.setattr(divisors, "_brent_rho", counted)
     return calls
 
 
 def test_default_budget_failure_is_memoised(monkeypatch):
     # the second call raises the cached error again without factoring anew
-    calls = _count_rho_calls(monkeypatch)
+    calls = _count_rho_walks(monkeypatch)
     n = (10**9 + 7) * (10**9 + 9)
+    divisors._factorize_memo.cache_clear()
     messages = []
     with monkeypatch.context() as patch:
         patch.setattr(divisors, "RHO_BUDGET", 10)
+        patch.setattr(divisors, "ECM_CURVES", 0)
         for _ in range(2):
             with pytest.raises(ResourceLimitError) as info:
                 factorize(n)
             messages.append(str(info.value))
     assert messages == [f"rho budget exhausted factoring {n} (stuck on {n})"] * 2
     assert len(calls) == 1
-    # an entry made under another budget is not read under RHO_BUDGET
+    # an entry made under other budgets is not read under the defaults
     assert factorize(n).factors == ((10**9 + 7, 1), (10**9 + 9, 1))
+
+
+def test_tail_ecm_splits_what_rho_leaves():
+    # two 14-digit primes: rho's RHO_BUDGET steps alone leave their product
+    # whole, and the ECM curves that follow split it
+    p, q = 10000000000037, 30000000000011
+    assert sympy.isprime(p) and sympy.isprime(q)
+    assert divisors._tail(p * q, {}, p * q, divisors.RHO_BUDGET, 0) == p * q
+    assert factorize(p * q).factors == _sympy_factors(p * q)
 
 
 @given(st.integers(1, 10**9))
@@ -187,10 +204,19 @@ def test_rank_of_apparition():
     assert rank_of_apparition(2, 1, 2) == 2
     assert rank_of_apparition(2, 1, 5) == 3
     assert rank_of_apparition(2, 1, 11) == 12
-    # p divides b: F_n = 1 mod p forever, a genuine None
+    # a prime of gcd(b, p) that does not divide a never divides F_n: no rank
     assert rank_of_apparition(1, 5, 5) is None
-    # search horizon respected
-    assert rank_of_apparition(1, 1, 89, limit=5) is None
+    assert rank_of_apparition(1, 5, 10) is None
+    # primes of gcd(b, p) that divide a as well: the rank exists
+    assert rank_of_apparition(2, 2, 2) == 2
+    assert rank_of_apparition(2, 2, 6) == 3
+    # a scan that passes its limit raises rather than answering None
+    with pytest.raises(ResourceLimitError):
+        rank_of_apparition(1, 1, 89, limit=5)
+    assert rank_of_apparition(1, 1, 89, limit=11) == 11
+    with pytest.raises(ResourceLimitError):
+        rank_of_apparition(1, 1, 10007)
+    assert rank_of_apparition(1, 1, 10007, limit=10008) == 10008
     with pytest.raises(DomainError):
         rank_of_apparition(1, 1, 1)
 
@@ -330,7 +356,7 @@ def tiny_rho_budget(monkeypatch):
 
 
 def test_factor_f_failure_is_memoised(tiny_rho_budget, monkeypatch):
-    calls = _count_rho_calls(monkeypatch)
+    calls = _count_rho_walks(monkeypatch)
     messages = []
     for _ in range(2):
         with pytest.raises(ResourceLimitError) as info:
@@ -387,14 +413,18 @@ def test_pp1_stage2_splits_p_plus_1_one_prime_past_stage1(monkeypatch):
     assert divisors._pm1_divisor(p * HARD_Q2, 101, 5) is None
 
 
+def _smooth_split(m, n, d, counts):
+    """The p-1/p+1 stage on m, a divisor of the primitive part of F_n with a^2 + 4b = d."""
+    return divisors._split(m, counts, partial(divisors._pm1_divisor, n=n, d=d))
+
+
 def test_smooth_split_leaves_unsplit_composite_for_rho():
     c = HARD_Q1 * HARD_Q2
     counts = {}
-    assert divisors._smooth_split(c, 101, 5, counts) == c and counts == {}
-    # the whole composite then goes to rho, which names it when it gives up
-    with pytest.raises(divisors.RhoBudgetError) as info:
-        divisors._rho_split(c, counts, c, 10)
-    assert info.value.stuck == c
+    assert _smooth_split(c, 101, 5, counts) == c and counts == {}
+    # the whole composite then goes to the tail, which returns it whole when
+    # rho and ECM give up
+    assert divisors._tail(c, counts, c, 10, 0) == c and counts == {}
 
 
 @given(st.lists(st.integers(10**6, 10**14), min_size=2, max_size=4),
@@ -405,7 +435,7 @@ def test_smooth_split_returns_primes_that_rebuild_the_input(starts, n, d):
     for x in starts:
         m *= sympy.nextprime(x)
     counts = {}
-    rest = divisors._smooth_split(m, n, d, counts)
+    rest = _smooth_split(m, n, d, counts)
     assert all(sympy.isprime(p) for p in counts)
     assert rest == 1 or not sympy.isprime(rest)
     prod = rest
@@ -503,7 +533,7 @@ def test_backoff_pieces_are_prime_and_rebuild_the_input(primes):
     g = divisors._pm1_divisor(m, 101, 5)
     assert g is None or (1 < g < m and m % g == 0)
     counts = {}
-    rest = divisors._smooth_split(m, 101, 5, counts)
+    rest = _smooth_split(m, 101, 5, counts)
     assert all(sympy.isprime(p) for p in counts)
     assert rest == 1 or not sympy.isprime(rest)
     assert rest * prod(p**e for p, e in counts.items()) == m

@@ -20,6 +20,18 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_no_fractions_import():
+    # every quantity in the package is an integer, so none needs Fraction
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (isinstance(node, ast.Import) and any(alias.name == "fractions" for alias in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "fractions")
+    ]
+    assert found == []
+
+
 def test_import_builds_no_lazy_tables():
     # the p-1/p+1 tables and the CLI parser are built on first use, so
     # importing the package stays as cheap as it was before they existed
