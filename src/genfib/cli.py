@@ -11,8 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import cache
-from math import gcd
+from functools import cache, partial
 
 from .core import SequenceParams, check_digit_cap, g_fast, g_iter
 from .diophantine import (
@@ -21,6 +20,7 @@ from .diophantine import (
     alternating_witnesses,
     brute_force_solutions,
     completeness_report,
+    families_for,
     family_solution,
     is_bisquare,
     is_solution,
@@ -98,43 +98,44 @@ def _cmd_compute(args, run: _Run) -> None:
         value = g_iter(p, args.n)
     elif args.method == "fast":
         value = g_fast(p, args.n)
+    elif discriminant(p.a, p.b) == 0:
+        value = binet_repeated_root(p, args.n)
     else:
-        if discriminant(p.a, p.b) == 0:
-            value = binet_repeated_root(p, args.n)
-        else:
-            value = binet_eval(p, args.n)
+        value = binet_eval(p, args.n)
     run.emit("compute", method=args.method, n=args.n, value=value, **_echo(p))
 
 
-def _cmd_identity(args, run: _Run) -> None:
+def _cmd_identity_addition(args, run: _Run) -> None:
     p = SequenceParams(args.u, args.v, args.a, args.b)
-    if args.name == "addition":
-        max_m = args.max_m if args.max_m is not None else args.max_n
-        for m in range(max_m + 1):
-            for n in range(args.max_n + 1):
-                lhs, rhs = addition_sides(p, m, n)
-                run.emit(
-                    "identity",
-                    name="addition",
-                    m=m,
-                    n=n,
-                    lhs=lhs,
-                    rhs=rhs,
-                    status=OK if lhs == rhs else VIOLATED,
-                    **_echo(p),
-                )
-    else:
+    max_m = args.max_m if args.max_m is not None else args.max_n
+    for m in range(max_m + 1):
         for n in range(args.max_n + 1):
-            lhs, rhs = determinant_sides(p, n)
+            lhs, rhs = addition_sides(p, m, n)
             run.emit(
                 "identity",
-                name="determinant",
+                name="addition",
+                m=m,
                 n=n,
                 lhs=lhs,
                 rhs=rhs,
                 status=OK if lhs == rhs else VIOLATED,
                 **_echo(p),
             )
+
+
+def _cmd_identity_determinant(args, run: _Run) -> None:
+    p = SequenceParams(args.u, args.v, args.a, args.b)
+    for n in range(args.max_n + 1):
+        lhs, rhs = determinant_sides(p, n)
+        run.emit(
+            "identity",
+            name="determinant",
+            n=n,
+            lhs=lhs,
+            rhs=rhs,
+            status=OK if lhs == rhs else VIOLATED,
+            **_echo(p),
+        )
 
 
 def _cmd_scan_divisible(args, run: _Run) -> None:
@@ -169,15 +170,12 @@ def _cmd_gcd_identity(args, run: _Run) -> None:
 
 
 def _cmd_dioph_families(args, run: _Run) -> None:
+    lm = range(1, args.lm_max + 1)
+    params = [(l, m, families_for(l, m)) for l in lm for m in lm]
     for fam in Family:
-        both_odd_needed = fam in (Family.F1, Family.F2)
         for k in range(1, args.k_max + 1):
-            for l in range(1, args.lm_max + 1):
-                for m in range(1, args.lm_max + 1):
-                    if gcd(l, m) != 1:
-                        continue
-                    if both_odd_needed and (l % 2 == 0 or m % 2 == 0):
-                        continue
+            for l, m, fams in params:
+                if fam in fams:
                     sol = family_solution(fam, k, l, m)
                     run.emit(
                         "dioph-solution",
@@ -214,26 +212,14 @@ def _cmd_dioph_complete(args, run: _Run) -> None:
 
 
 def _cmd_bisquare(args, run: _Run) -> None:
+    if (args.n is None) == (args.mode is None):
+        raise DomainError("bisquare takes exactly one of --n and scan")
     if args.mode == "scan":
-        missing = [
-            flag
-            for flag, val in (
-                ("--u-max", args.u_max),
-                ("--v-max", args.v_max),
-                ("--a", args.a),
-                ("--b", args.b),
-            )
-            if val is None
-        ]
-        if missing:
-            raise DomainError(f"bisquare scan requires {' '.join(missing)}")
         pairs = _square_pairs_grid(args.u_max, args.v_max, args.a, args.b)
         for u, v, t in pairs:
             run.emit("square-invariant-pair", u=u, v=v, t=t, a=args.a, b=args.b)
         run.emit("scan-summary", scan="square-invariant", pairs=len(pairs))
     else:
-        if args.n is None:
-            raise DomainError("bisquare requires --n (or the scan mode)")
         dec = two_square_decomposition(args.n)
         classified = is_bisquare(args.n)
         # the factorization route and the search route must agree
@@ -260,40 +246,30 @@ def _cmd_alt_bisquable(args, run: _Run) -> None:
         )
 
 
-def _cmd_tau_bounds(args, run: _Run) -> None:
-    for n in range(2, args.n_max + 1):
+def _cmd_each_index(first: int, fields, args, run: _Run) -> None:
+    """One record per n from `first` to --n-max; an index past a resource limit is skipped."""
+    for n in range(first, args.n_max + 1):
         try:
-            tb = check_tau_bounds(args.a, args.b, n)
+            payload = fields(args.a, args.b, n)
         except ResourceLimitError as exc:
-            run.emit("tau-bounds", n=n, a=args.a, b=args.b, reason=str(exc), status=SKIPPED)
+            run.emit(args.command, n=n, a=args.a, b=args.b, reason=str(exc), status=SKIPPED)
             continue
-        run.emit(
-            "tau-bounds",
-            n=n,
-            a=args.a,
-            b=args.b,
-            tau_fn=tb.tau_fn,
-            tau_n=tb.tau_n,
-            omega_n=tb.omega_n,
-            status=OK if tb.omega_bound_ok and tb.tau_bound_ok else VIOLATED,
-        )
+        run.emit(args.command, n=n, a=args.a, b=args.b, **payload)
 
 
-def _cmd_primitive(args, run: _Run) -> None:
-    for n in range(1, args.n_max + 1):
-        try:
-            rep = primitive_divisors(args.a, args.b, n)
-        except ResourceLimitError as exc:
-            run.emit("primitive", n=n, a=args.a, b=args.b, reason=str(exc), status=SKIPPED)
-            continue
-        run.emit(
-            "primitive",
-            n=n,
-            a=args.a,
-            b=args.b,
-            primes=list(rep.primitive_primes),
-            has_primitive=rep.has_primitive,
-        )
+def _tau_bounds_fields(a: int, b: int, n: int) -> dict:
+    tb = check_tau_bounds(a, b, n)
+    return {
+        "tau_fn": tb.tau_fn,
+        "tau_n": tb.tau_n,
+        "omega_n": tb.omega_n,
+        "status": OK if tb.omega_bound_ok and tb.tau_bound_ok else VIOLATED,
+    }
+
+
+def _primitive_fields(a: int, b: int, n: int) -> dict:
+    rep = primitive_divisors(a, b, n)
+    return {"primes": list(rep.primitive_primes), "has_primitive": rep.has_primitive}
 
 
 @cache
@@ -310,79 +286,54 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def seed_flags(sp):
-        sp.add_argument("--u", type=int, required=True)
-        sp.add_argument("--v", type=int, required=True)
-        sp.add_argument("--a", type=int, required=True)
-        sp.add_argument("--b", type=int, required=True)
+    def _command(group, name: str, help: str, func, *flags: str):
+        """Add leaf `name`, run by `func`; every flag is required, `*-range` ones as lo..hi."""
+        leaf = group.add_parser(name, help=help)
+        for flag in flags:
+            if flag.endswith("-range"):
+                leaf.add_argument(f"--{flag}", type=_parse_range, required=True, metavar="LO..HI")
+            else:
+                leaf.add_argument(f"--{flag}", type=int, required=True)
+        leaf.set_defaults(func=func)
+        return leaf
 
-    sp = sub.add_parser("compute", help="evaluate G_n")
-    seed_flags(sp)
-    sp.add_argument("--n", type=int, required=True)
+    seed = ("u", "v", "a", "b")
+    sp = _command(sub, "compute", "evaluate G_n", _cmd_compute, *seed, "n")
     sp.add_argument("--method", choices=("iter", "fast", "binet"), default="fast")
-    sp.set_defaults(func=_cmd_compute)
 
     sp = sub.add_parser("identity", help="check the addition or determinant identity")
-    sp.add_argument("name", choices=("addition", "determinant"))
-    seed_flags(sp)
-    sp.add_argument("--max-m", type=int, default=None, help="addition only; defaults to --max-n")
-    sp.add_argument("--max-n", type=int, required=True)
-    sp.set_defaults(func=_cmd_identity)
+    isub = sp.add_subparsers(dest="name", required=True)
+    sp = _command(isub, "addition", "G_(m+n+1) = G_(m+1) F_(n+1) + b G_m F_n on a grid",
+                  _cmd_identity_addition, *seed, "max-n")
+    sp.add_argument("--max-m", type=int, default=None, help="defaults to --max-n")
+    _command(isub, "determinant", "G_n G_(n+2) - G_(n+1)^2 = (-b)^n D for n up to --max-n",
+             _cmd_identity_determinant, *seed, "max-n")
 
-    sp = sub.add_parser("scan-divisible", help="grid-scan for divisible sequences")
-    sp.add_argument("--u-range", type=_parse_range, required=True, metavar="LO..HI")
-    sp.add_argument("--v-range", type=_parse_range, required=True, metavar="LO..HI")
-    sp.add_argument("--a-range", type=_parse_range, required=True, metavar="LO..HI")
-    sp.add_argument("--b-range", type=_parse_range, required=True, metavar="LO..HI")
-    sp.add_argument("--bound", type=int, required=True)
-    sp.set_defaults(func=_cmd_scan_divisible)
-
-    sp = sub.add_parser("gcd-identity", help="gcd(F_m, F_n) = F_gcd(m,n) on a square grid")
-    sp.add_argument("--a", type=int, required=True)
-    sp.add_argument("--b", type=int, required=True)
-    sp.add_argument("--max", type=int, required=True)
-    sp.set_defaults(func=_cmd_gcd_identity)
+    _command(sub, "scan-divisible", "grid-scan for divisible sequences", _cmd_scan_divisible,
+             "u-range", "v-range", "a-range", "b-range", "bound")
+    _command(sub, "gcd-identity", "gcd(F_m, F_n) = F_gcd(m,n) on a square grid",
+             _cmd_gcd_identity, "a", "b", "max")
 
     sp = sub.add_parser("dioph", help="the equation 5x^2 + 4y^2 = z^2")
     dsub = sp.add_subparsers(dest="dioph_command", required=True)
-    dsp = dsub.add_parser("families", help="generate family solutions")
-    dsp.add_argument("--k-max", type=int, required=True)
-    dsp.add_argument("--lm-max", type=int, required=True)
-    dsp.set_defaults(func=_cmd_dioph_families)
-    dsp = dsub.add_parser("oracle", help="exhaustive solutions up to z-max")
-    dsp.add_argument("--z-max", type=int, required=True)
-    dsp.set_defaults(func=_cmd_dioph_oracle)
-    dsp = dsub.add_parser("complete", help="match the exhaustive list against the families")
-    dsp.add_argument("--z-max", type=int, required=True)
-    dsp.add_argument("--lm-max", type=int, required=True)
-    dsp.set_defaults(func=_cmd_dioph_complete)
+    _command(dsub, "families", "generate family solutions", _cmd_dioph_families, "k-max", "lm-max")
+    _command(dsub, "oracle", "exhaustive solutions up to z-max", _cmd_dioph_oracle, "z-max")
+    _command(dsub, "complete", "match the exhaustive list against the families",
+             _cmd_dioph_complete, "z-max", "lm-max")
 
-    sp = sub.add_parser("bisquare", help="two-square decomposition / seed-pair scan")
-    sp.add_argument("mode", nargs="?", choices=("scan",))
+    sp = _command(sub, "bisquare", "two-square decomposition / seed-pair scan", _cmd_bisquare)
     sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--u-max", type=int, default=None)
-    sp.add_argument("--v-max", type=int, default=None)
-    sp.add_argument("--a", type=int, default=None)
-    sp.add_argument("--b", type=int, default=None)
-    sp.set_defaults(func=_cmd_bisquare)
+    _command(sp.add_subparsers(dest="mode"), "scan", "seed pairs whose invariant D is a square",
+             _cmd_bisquare, "u-max", "v-max", "a", "b")
 
-    sp = sub.add_parser("alt-bisquable", help="alternating-index bisquare check")
-    seed_flags(sp)
-    sp.add_argument("--k-max", type=int, required=True)
+    sp = _command(sub, "alt-bisquable", "alternating-index bisquare check", _cmd_alt_bisquable,
+                  *seed, "k-max")
     sp.add_argument("--parity", choices=("even", "odd"), required=True)
-    sp.set_defaults(func=_cmd_alt_bisquable)
 
-    sp = sub.add_parser("tau-bounds", help="divisor-count lower bounds for F_n")
-    sp.add_argument("--a", type=int, required=True)
-    sp.add_argument("--b", type=int, required=True)
-    sp.add_argument("--n-max", type=int, required=True)
-    sp.set_defaults(func=_cmd_tau_bounds)
-
-    sp = sub.add_parser("primitive", help="primitive prime divisors of F_n")
-    sp.add_argument("--a", type=int, required=True)
-    sp.add_argument("--b", type=int, required=True)
-    sp.add_argument("--n-max", type=int, required=True)
-    sp.set_defaults(func=_cmd_primitive)
+    _command(sub, "tau-bounds", "divisor-count lower bounds for F_n",
+             partial(_cmd_each_index, 2, _tau_bounds_fields), "a", "b", "n-max")
+    _command(sub, "primitive", "primitive prime divisors of F_n",
+             partial(_cmd_each_index, 1, _primitive_fields), "a", "b", "n-max")
 
     return parser
 

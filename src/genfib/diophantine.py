@@ -49,6 +49,19 @@ def _exact_half(t: int) -> int:
     return q
 
 
+def families_for(l: int, m: int) -> tuple[Family, ...]:
+    """The families whose members with parameters l, m are defined.
+
+    Empty when gcd(l, m) > 1; F3 and F4 for coprime l, m; all four when l and
+    m are also both odd, which makes the divisions of F1 and F2 exact.
+    """
+    if gcd(l, m) != 1:
+        return ()
+    if l % 2 and m % 2:
+        return (Family.F1, Family.F2, Family.F3, Family.F4)
+    return (Family.F3, Family.F4)
+
+
 def family_solution(family: Family | str, k: int, l: int, m: int) -> DiophSolution:
     """One member of the named solution family.
 
@@ -56,12 +69,13 @@ def family_solution(family: Family | str, k: int, l: int, m: int) -> DiophSoluti
     need l and m both odd, which makes the divisions exact. F3 and F4 are the
     same shapes scaled clear of denominators; they only need gcd(l, m) = 1,
     and with parameters of opposite parity they are the families that reach
-    the solutions with even z.
+    the solutions with even z. `families_for` applies these gates.
     """
     fam = Family(family)
-    if gcd(l, m) != 1:
+    fams = families_for(l, m)
+    if not fams:
         raise HypothesisViolationError(f"l={l}, m={m} must be coprime")
-    if fam in (Family.F1, Family.F2) and (l % 2 == 0 or m % 2 == 0):
+    if fam not in fams:
         raise HypothesisViolationError(
             f"{fam.value} needs l and m odd; got l={l}, m={m}"
         )
@@ -118,14 +132,9 @@ def _family_triples(z_max: int, param_bound: int) -> set[tuple[int, int, int]]:
     out: set[tuple[int, int, int]] = set()
     for l in range(1, cap + 1):
         for m in range(1, cap + 1):
-            if min(l, m) > param_bound or gcd(l, m) != 1:
+            if min(l, m) > param_bound:
                 continue
-            both_odd = l % 2 == 1 and m % 2 == 1
-            fams = (Family.F1, Family.F2, Family.F3, Family.F4) if both_odd else (
-                Family.F3,
-                Family.F4,
-            )
-            for fam in fams:
+            for fam in families_for(l, m):
                 sol = family_solution(fam, 1, l, m)
                 if sol.z <= 0 or sol.z > z_max:
                     continue

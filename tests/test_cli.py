@@ -4,7 +4,10 @@ import json
 import os
 import subprocess
 import sys
+from itertools import takewhile
 from pathlib import Path
+
+import pytest
 
 from genfib import SequenceParams, cli, g_iter
 from genfib.core import check_digit_cap
@@ -213,6 +216,17 @@ def test_usage_errors_exit_2():
     proc = run_cli("scan-divisible", "--u-range", "5", "--v-range", "1..2",
                    "--a-range", "1..2", "--b-range", "1..2", "--bound", "10")
     assert proc.returncode == 2
+    # a flag of another mode is refused, not dropped
+    for args in (
+        ("bisquare", "--n", "45", "--u-max", "3"),
+        ("bisquare", "scan", "--u-max", "2", "--v-max", "2", "--a", "1", "--b", "1", "--n", "5"),
+        ("bisquare", "--n", "45", "scan", "--u-max", "2", "--v-max", "2", "--a", "1", "--b", "1"),
+        ("identity", "determinant", "--u", "0", "--v", "1", "--a", "1", "--b", "1",
+         "--max-n", "2", "--max-m", "9"),
+        ("bisquare",),
+    ):
+        proc = run_cli(*args)
+        assert proc.returncode == 2 and proc.stdout == "", args
 
 
 def test_hypothesis_violation_exits_2_with_diagnostic():
@@ -269,3 +283,35 @@ def test_usage_error_leaves_next_call_unaffected(capsys):
     run_in_process(capsys, ["identity", "addition", *base, "--max-m", "4", "--max-n", "1"])
     out, err, code = run_in_process(capsys, ["identity", "addition", *base, "--max-n", "1"])
     assert code == 0 and len(out.splitlines()) == 2 * 2
+
+
+# one valid argv per leaf subcommand, giving every flag it requires and no other
+LEAF_ARGVS = [
+    ["compute", "--u", "0", "--v", "1", "--a", "1", "--b", "1", "--n", "10"],
+    ["identity", "addition", "--u", "1", "--v", "2", "--a", "1", "--b", "1", "--max-n", "3"],
+    ["identity", "determinant", "--u", "0", "--v", "1", "--a", "1", "--b", "1", "--max-n", "3"],
+    ["scan-divisible", "--u-range", "0..1", "--v-range", "1..2", "--a-range", "1..2",
+     "--b-range", "0..1", "--bound", "10"],
+    ["gcd-identity", "--a", "2", "--b", "1", "--max", "5"],
+    ["dioph", "families", "--k-max", "1", "--lm-max", "3"],
+    ["dioph", "oracle", "--z-max", "10"],
+    ["dioph", "complete", "--z-max", "20", "--lm-max", "5"],
+    ["bisquare", "--n", "45"],
+    ["bisquare", "scan", "--u-max", "2", "--v-max", "2", "--a", "1", "--b", "1"],
+    ["alt-bisquable", "--u", "0", "--v", "1", "--a", "1", "--b", "1", "--k-max", "3",
+     "--parity", "odd"],
+    ["tau-bounds", "--a", "1", "--b", "1", "--n-max", "8"],
+    ["primitive", "--a", "1", "--b", "1", "--n-max", "8"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv", LEAF_ARGVS, ids=lambda argv: " ".join(takewhile(lambda w: not w.startswith("--"), argv))
+)
+def test_every_required_flag_is_enforced(capsys, argv):
+    out, err, code = run_in_process(capsys, argv)
+    assert code in (0, 1) and out
+    flags = [i for i, word in enumerate(argv) if word.startswith("--")]
+    for i in flags:
+        out, err, code = run_in_process(capsys, argv[:i] + argv[i + 2:])
+        assert (code, out) == (2, ""), argv[i]

@@ -21,6 +21,7 @@ from genfib import (
     completeness_report,
     euler_divisor_check,
     factorize,
+    families_for,
     family_solution,
     g_prefix,
     is_bisquare,
@@ -79,9 +80,11 @@ def _xyz(s):
 )
 @settings(max_examples=400)
 def test_families_always_solve(fam, k, l, m):
-    if gcd(l, m) != 1:
-        return
-    if fam in (Family.F1, Family.F2) and (l % 2 == 0 or m % 2 == 0):
+    defined = gcd(l, m) == 1 and (fam in (Family.F3, Family.F4) or l % 2 == m % 2 == 1)
+    assert (fam in families_for(l, m)) == defined
+    if not defined:
+        with pytest.raises(HypothesisViolationError):
+            family_solution(fam, k, l, m)
         return
     s = family_solution(fam, k, l, m)
     assert 5 * s.x * s.x + 4 * s.y * s.y == s.z * s.z

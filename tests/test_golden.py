@@ -1,0 +1,55 @@
+"""Byte stability of the CLI against committed digests.
+
+`data/cli_golden.json` holds, for each argv, the sha256 of stdout and of
+stderr and the exit code that `genfib.cli.run` gave. The argvs are the
+seed-1 invocations of the three benchmark workloads (factor-sweep,
+eval-identity, bisquare-mix) followed by the criterion-11 CLI fixtures;
+they are copied into the file so that this test does not depend on the
+benchmark's generators.
+
+The file pins two records that are wrong today: `bisquare --n` on psi_12 and
+psi_13, strong pseudoprimes that `is_prime` calls prime until BPSW replaces
+the fixed-base Miller-Rabin test. The change that lands BPSW updates the
+file. Any update of the file is a change to the CLI's output and is listed
+in CHANGES.md; regenerate the digests from the argvs already in the file
+with `PYTHONPATH=src python tests/test_golden.py`.
+"""
+
+import hashlib
+import io
+import json
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+from genfib import cli, divisors
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "cli_golden.json"
+
+
+def _digest(argv: list[str]) -> dict:
+    # each argv starts from empty factorization memos, as in a fresh process
+    divisors._factorize_memo.cache_clear()
+    divisors._factor_f.cache_clear()
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.run(list(argv))
+    return {
+        "argv": argv,
+        "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest(),
+        "stderr_sha256": hashlib.sha256(err.getvalue().encode()).hexdigest(),
+        "exit": code,
+    }
+
+
+def test_cli_output_matches_golden_digests():
+    golden = json.loads(GOLDEN.read_text())
+    assert len(golden) == 157
+    changed = [want["argv"] for want in golden if _digest(want["argv"]) != want]
+    assert changed == []
+
+
+if __name__ == "__main__":
+    entries = [_digest(entry["argv"]) for entry in json.loads(GOLDEN.read_text())]
+    GOLDEN.write_text("[\n" + ",\n".join(json.dumps(e) for e in entries) + "\n]\n")
+    print(f"wrote {len(entries)} digests to {GOLDEN}", file=sys.stderr)
