@@ -26,7 +26,7 @@ from .diophantine import (
     is_solution,
     two_square_decomposition,
 )
-from .divisibility import gcd_identity_check, scan_divisible
+from .divisibility import gcd_identity_grid, scan_divisible
 from .divisors import check_tau_bounds, primitive_divisors
 from .errors import DomainError, ResourceLimitError
 from .identities import addition_sides, determinant_sides
@@ -148,23 +148,14 @@ def _cmd_scan_divisible(args, run: _Run) -> None:
 
 
 def _cmd_gcd_identity(args, run: _Run) -> None:
-    witness = None
-    checked = 0
-    for m in range(1, args.max + 1):
-        for n in range(1, args.max + 1):
-            checked += 1
-            if not gcd_identity_check(args.a, args.b, m, n):
-                witness = [m, n]
-                break
-        if witness:
-            break
+    checked, witness = gcd_identity_grid(args.a, args.b, args.max)
     run.emit(
         "gcd-identity",
         a=args.a,
         b=args.b,
         max=args.max,
         checked=checked,
-        witness=witness,
+        witness=list(witness) if witness else None,
         status=VIOLATED if witness else OK,
     )
 
@@ -272,6 +263,17 @@ def _primitive_fields(a: int, b: int, n: int) -> dict:
     return {"primes": list(rep.primitive_primes), "has_primitive": rep.has_primitive}
 
 
+class _ScanOnly(argparse.Action):
+    """A flag of `bisquare scan` given to `bisquare` itself, refused by its name.
+
+    Without it, argparse would set the unknown flag aside, read its value as
+    the `scan` positional, and name the value instead of the flag.
+    """
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        parser.error(f"{option_string} is a flag of 'bisquare scan'")
+
+
 @cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and shared after it.
@@ -284,7 +286,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Generalized Fibonacci sequences: identities, divisibility, "
         "Diophantine families, and divisor-count bounds.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # each add_subparsers is given its prog, which argparse would otherwise
+    # derive by formatting a usage line: the same text, at a cost per call
+    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
 
     def _command(group, name: str, help: str, func, *flags: str):
         """Add leaf `name`, run by `func`; every flag is required, `*-range` ones as lo..hi."""
@@ -302,7 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--method", choices=("iter", "fast", "binet"), default="fast")
 
     sp = sub.add_parser("identity", help="check the addition or determinant identity")
-    isub = sp.add_subparsers(dest="name", required=True)
+    isub = sp.add_subparsers(dest="name", required=True, prog=sp.prog)
     sp = _command(isub, "addition", "G_(m+n+1) = G_(m+1) F_(n+1) + b G_m F_n on a grid",
                   _cmd_identity_addition, *seed, "max-n")
     sp.add_argument("--max-m", type=int, default=None, help="defaults to --max-n")
@@ -315,16 +319,19 @@ def _build_parser() -> argparse.ArgumentParser:
              _cmd_gcd_identity, "a", "b", "max")
 
     sp = sub.add_parser("dioph", help="the equation 5x^2 + 4y^2 = z^2")
-    dsub = sp.add_subparsers(dest="dioph_command", required=True)
+    dsub = sp.add_subparsers(dest="dioph_command", required=True, prog=sp.prog)
     _command(dsub, "families", "generate family solutions", _cmd_dioph_families, "k-max", "lm-max")
     _command(dsub, "oracle", "exhaustive solutions up to z-max", _cmd_dioph_oracle, "z-max")
     _command(dsub, "complete", "match the exhaustive list against the families",
              _cmd_dioph_complete, "z-max", "lm-max")
 
+    scan_flags = ("u-max", "v-max", "a", "b")
     sp = _command(sub, "bisquare", "two-square decomposition / seed-pair scan", _cmd_bisquare)
     sp.add_argument("--n", type=int, default=None)
-    _command(sp.add_subparsers(dest="mode"), "scan", "seed pairs whose invariant D is a square",
-             _cmd_bisquare, "u-max", "v-max", "a", "b")
+    sp.add_argument(*(f"--{flag}" for flag in scan_flags), action=_ScanOnly, nargs="?",
+                    default=argparse.SUPPRESS, help=argparse.SUPPRESS)
+    _command(sp.add_subparsers(dest="mode", prog=sp.prog), "scan",
+             "seed pairs whose invariant D is a square", _cmd_bisquare, *scan_flags)
 
     sp = _command(sub, "alt-bisquable", "alternating-index bisquare check", _cmd_alt_bisquable,
                   *seed, "k-max")

@@ -3,6 +3,12 @@
 Covers the coprimality lemmas, index-divisibility of F, the gcd identity
 gcd(F_m, F_n) = F_gcd(m,n), and the classification scan for sequences that
 are divisibility sequences outright.
+
+The gcd identity is checked at one point by `gcd_identity_check`, from three
+fast-doubling evaluations, and on a whole max x max grid by
+`gcd_identity_grid`, which reads every point from one linear prefix
+F_0..F_max. The prefix takes O(max^2) digits, so a grid whose prefix could
+pass `EVAL_DIGIT_LIMIT` digits is refused before anything is built.
 """
 
 from __future__ import annotations
@@ -10,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .core import SequenceParams, f_fast, g_prefix, is_cquence
-from .errors import DomainError, HypothesisViolationError
+from .core import EVAL_DIGIT_LIMIT, SequenceParams, digit_bound, f_fast, g_prefix, is_cquence
+from .errors import DomainError, HypothesisViolationError, ResourceLimitError
 
 DIVISIBLE = "divisible"
 COUNTEREXAMPLE = "counterexample"
@@ -58,15 +64,53 @@ def check_f_divisible(a: int, b: int, n: int, k: int) -> bool:
     return divides(f_fast(a, b, n), f_fast(a, b, n * k))
 
 
-def gcd_identity_check(a: int, b: int, m: int, n: int) -> bool:
-    """gcd(F_m, F_n) = F_gcd(m,n), for the (0, 1 | a, b) sequence."""
+def _require_gcd_identity_pair(a: int, b: int) -> None:
     if b == 0 or gcd(a, b) != 1:
         raise HypothesisViolationError(
             f"(a,b)=({a},{b}) must satisfy b != 0 and gcd(a,b) = 1"
         )
+
+
+def gcd_identity_check(a: int, b: int, m: int, n: int) -> bool:
+    """gcd(F_m, F_n) = F_gcd(m,n), for the (0, 1 | a, b) sequence."""
+    _require_gcd_identity_pair(a, b)
     if m < 1 or n < 1:
         raise DomainError("m and n must be positive")
     return gcd(f_fast(a, b, m), f_fast(a, b, n)) == f_fast(a, b, gcd(m, n))
+
+
+def gcd_identity_grid(a: int, b: int, top: int) -> tuple[int, tuple[int, int] | None]:
+    """Check gcd(F_m, F_n) = F_gcd(m,n) for 1 <= m, n <= top, row by row.
+
+    Returns (checked, witness): the number of points checked and the first
+    failing (m, n) in row-major order, or None when every point holds. This
+    is what `gcd_identity_check` gives point by point, with the same
+    hypothesis errors, but every value comes from one linear prefix
+    F_0..F_top. For top <= 0 the grid is empty: nothing is checked, gated or
+    built. Raises ResourceLimitError, before building anything, when the
+    prefix could hold more than EVAL_DIGIT_LIMIT digits in all.
+    """
+    if top < 1:
+        return 0, None
+    _require_gcd_identity_pair(a, b)
+    f = SequenceParams(0, 1, a, b)
+    # the bound grows with the index, so no term has more than
+    # digit_bound(f, top) digits; dividing the cap, not multiplying the
+    # bound, keeps a huge top out of float overflow
+    per_term = digit_bound(f, top)
+    if per_term > EVAL_DIGIT_LIMIT / (top + 1):
+        raise ResourceLimitError(
+            f"F_0..F_{top} may have up to {top + 1} x {int(per_term)} digits, "
+            f"above the {EVAL_DIGIT_LIMIT}-digit cap"
+        )
+    vals = g_prefix(f, top)
+    checked = 0
+    for m in range(1, top + 1):
+        for n in range(1, top + 1):
+            checked += 1
+            if gcd(vals[m], vals[n]) != vals[gcd(m, n)]:
+                return checked, (m, n)
+    return checked, None
 
 
 @dataclass(frozen=True)

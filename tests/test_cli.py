@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from genfib import SequenceParams, cli, g_iter
+from genfib import SequenceParams, cli, divisibility, g_iter
 from genfib.core import check_digit_cap
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -132,6 +132,30 @@ def test_gcd_identity_ok():
     assert rec["checked"] == 625 and rec["witness"] is None and rec["status"] == "ok"
 
 
+def test_gcd_identity_edges(capsys):
+    out, err, code = run_in_process(capsys, ["gcd-identity", "--a", "-1", "--b", "1", "--max", "5"])
+    (rec,) = map(json.loads, out.splitlines())
+    assert code == 1 and rec["witness"] == [2, 2] and rec["checked"] == 7
+    out, err, code = run_in_process(capsys, ["gcd-identity", "--a", "2", "--b", "4", "--max", "0"])
+    assert code == 0 and json.loads(out)["checked"] == 0
+    out, err, code = run_in_process(capsys, ["gcd-identity", "--a", "2", "--b", "4", "--max", "3"])
+    assert (code, out) == (2, "")
+    assert err == "error: (a,b)=(2,4) must satisfy b != 0 and gcd(a,b) = 1\n"
+
+
+def test_gcd_identity_past_the_cap_builds_nothing(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the prefix was built")
+
+    monkeypatch.setattr(divisibility, "g_prefix", refuse)
+    out, err, code = run_in_process(capsys, ["gcd-identity", "--a", "1", "--b", "1",
+                                             "--max", "1000000"])
+    assert (code, out) == (3, "") and err.startswith("resource limit:")
+    monkeypatch.undo()
+    out, err, code = run_in_process(capsys, ["gcd-identity", "--a", "3", "--b", "4", "--max", "100"])
+    assert code == 0 and json.loads(out)["checked"] == 100 * 100
+
+
 def test_dioph_families_and_oracle():
     proc = run_cli("dioph", "families", "--k-max", "2", "--lm-max", "5")
     assert proc.returncode == 0
@@ -227,6 +251,9 @@ def test_usage_errors_exit_2():
     ):
         proc = run_cli(*args)
         assert proc.returncode == 2 and proc.stdout == "", args
+    # the error names the stray flag, not the value argparse would read as `scan`
+    proc = run_cli("bisquare", "--n", "45", "--u-max", "3")
+    assert proc.stderr.splitlines()[-1] == "genfib bisquare: error: --u-max is a flag of 'bisquare scan'"
 
 
 def test_hypothesis_violation_exits_2_with_diagnostic():

@@ -8,6 +8,7 @@ from genfib import (
     DIVISIBLE,
     DomainError,
     HypothesisViolationError,
+    ResourceLimitError,
     SequenceParams,
     check_b_coprime,
     check_ccop,
@@ -18,10 +19,13 @@ from genfib import (
     divides,
     f_fast,
     gcd_identity_check,
+    gcd_identity_grid,
     g_prefix,
     is_cquence,
     scan_divisible,
 )
+from genfib import divisibility
+from genfib.core import EVAL_DIGIT_LIMIT, digit_bound
 
 
 def test_divides_conventions():
@@ -102,6 +106,59 @@ def test_gcd_identity_gates():
         gcd_identity_check(1, 0, 3, 4)
     with pytest.raises(DomainError):
         gcd_identity_check(1, 1, 0, 4)
+
+
+def _grid_by_points(a, b, top):
+    # the per-point oracle, row by row, stopping at the first failure
+    checked = 0
+    for m in range(1, top + 1):
+        for n in range(1, top + 1):
+            checked += 1
+            if not gcd_identity_check(a, b, m, n):
+                return checked, (m, n)
+    return checked, None
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@given(st.integers(-4, 4), st.integers(-4, 4), st.integers(-1, 25))
+@settings(max_examples=300)
+def test_gcd_identity_grid_matches_point_checks(a, b, top):
+    # b = 0, non-coprime pairs and empty grids included; a negative a gives
+    # negative terms, so gcd(F_m, F_m) = |F_m| != F_m is a real violation
+    assert _outcome(gcd_identity_grid, a, b, top) == _outcome(_grid_by_points, a, b, top)
+
+
+class _Built(Exception):
+    pass
+
+
+def _refuse_to_build(*args):
+    raise _Built
+
+
+def test_gcd_identity_grid_cap_edge(monkeypatch):
+    # the largest top whose prefix F_0..F_top is within the cap for (1, 1)
+    f = SequenceParams(0, 1, 1, 1)
+    top = 1
+    while (top + 2) * digit_bound(f, top + 1) <= EVAL_DIGIT_LIMIT:
+        top += 1
+    # the bound holds for the real prefix
+    assert sum(len(str(v)) for v in g_prefix(f, top)) <= EVAL_DIGIT_LIMIT
+    monkeypatch.setattr(divisibility, "g_prefix", _refuse_to_build)
+    with pytest.raises(_Built):
+        gcd_identity_grid(1, 1, top)
+    for past in (top + 1, 10**6, 10**400):
+        with pytest.raises(ResourceLimitError, match="-digit cap"):
+            gcd_identity_grid(1, 1, past)
+    # hypotheses are checked before the cap
+    with pytest.raises(HypothesisViolationError):
+        gcd_identity_grid(2, 4, 10**6)
 
 
 def test_divisible_sequence_reports():
