@@ -3,7 +3,9 @@
 A sequence is determined by its seeds (u, v) = (G_0, G_1) and coefficients
 (a, b). The sequence with seeds (0, 1) plays a special role and is written F
 throughout. Evaluation is offered both by the direct recurrence (linear time,
-the reference oracle) and by fast doubling (logarithmic time).
+the reference oracle) and by fast doubling (logarithmic time). The fast path
+is one iterative ladder that carries (F_k, F_{k+1}) over the bits of n; any
+G_n is then the split G_n = u*F_{n+1} + (v - a*u)*F_n.
 """
 
 from __future__ import annotations
@@ -26,23 +28,6 @@ class SequenceParams:
     v: int
     a: int
     b: int
-
-    def f_params(self) -> "SequenceParams":
-        """The companion sequence with seeds (0, 1) and the same coefficients."""
-        return SequenceParams(0, 1, self.a, self.b)
-
-
-@dataclass(frozen=True)
-class PairState:
-    """A consecutive pair (G_n, G_{n+1}); the carrier of fast-doubling state."""
-
-    index: int
-    lo: int
-    hi: int
-
-    def advanced(self, a: int, b: int) -> "PairState":
-        """One recurrence step: (lo, hi) -> (hi, a*hi + b*lo)."""
-        return PairState(self.index + 1, self.hi, a * self.hi + b * self.lo)
 
 
 def _require_index(n: int) -> None:
@@ -121,37 +106,30 @@ def g_prefix(p: SequenceParams, n_max: int) -> list[int]:
     return out
 
 
-def _f_state(a: int, b: int, n: int) -> PairState:
-    # Fast doubling. From (F_k, F_{k+1}):
+def _f_pair(a: int, b: int, n: int) -> tuple[int, int]:
+    # Fast doubling over the bits of n from the top. From (F_k, F_{k+1}):
     #   F_{2k}   = F_k * (2*F_{k+1} - a*F_k)
     #   F_{2k+1} = F_{k+1}^2 + b*F_k^2
-    if n == 0:
-        return PairState(0, 0, 1)
-    s = _f_state(a, b, n >> 1)
-    f, g = s.lo, s.hi
-    d = f * (2 * g - a * f)
-    e = g * g + b * f * f
-    if n & 1:
-        return PairState(2 * s.index + 1, e, a * e + b * d)
-    return PairState(2 * s.index, d, e)
+    f, g = 0, 1
+    for bit in f"{n:b}":
+        f, g = f * (2 * g - a * f), g * g + b * f * f
+        if bit == "1":
+            f, g = g, a * g + b * f
+    return f, g
 
 
 def f_fast(a: int, b: int, n: int) -> int:
     """F_n for seeds (0, 1), in O(log n) doubling steps."""
     _require_index(n)
-    return _f_state(a, b, n).lo
+    return _f_pair(a, b, n)[0]
 
 
 def g_fast(p: SequenceParams, n: int) -> int:
-    """G_n in O(log n), via F-doubling and the seed split G_n = v*F_n + b*u*F_{n-1}.
+    """G_n in O(log n), via F-doubling and the seed split G_n = u*F_{n+1} + (v - a*u)*F_n.
 
-    Indices 0 and 1 are returned directly from the seeds, so no F-value at a
-    negative index is ever needed.
+    This is G_n = v*F_n + b*u*F_{n-1} with b*F_{n-1} = F_{n+1} - a*F_n, so it
+    holds for every n >= 0 and every b, b = 0 included.
     """
     _require_index(n)
-    if n == 0:
-        return p.u
-    if n == 1:
-        return p.v
-    s = _f_state(p.a, p.b, n - 1)  # (F_{n-1}, F_n)
-    return p.v * s.hi + p.b * p.u * s.lo
+    f_n, f_next = _f_pair(p.a, p.b, n)
+    return p.u * f_next + (p.v - p.a * p.u) * f_n

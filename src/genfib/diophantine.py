@@ -9,6 +9,7 @@ search as the independent second route.
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import count
 from math import gcd, isqrt
@@ -357,29 +358,30 @@ def _require_square_invariant(p: SequenceParams) -> None:
         )
 
 
-def check_alternating_bisquable(p: SequenceParams, k_max: int, parity: str) -> bool:
-    """Are all even-index (or all odd-index) terms up to 2*k_max bisquares?"""
+def _alternating_terms(
+    p: SequenceParams, k_max: int, parity: str
+) -> Iterator[tuple[int, int]]:
+    # (i, G_i) at the alternating indices, after the square-invariant gate;
+    # a negative term raises when the walk reaches it
     _require_square_invariant(p)
     indices = _alternating_indices(k_max, parity)
     vals = g_prefix(p, max(indices))
     for i in indices:
         if vals[i] < 0:
             raise DomainError(f"G_{i} = {vals[i]} is negative")
-        if not is_bisquare(vals[i]):
-            return False
-    return True
+        yield i, vals[i]
+
+
+def check_alternating_bisquable(p: SequenceParams, k_max: int, parity: str) -> bool:
+    """Are all even-index (or all odd-index) terms up to 2*k_max bisquares?"""
+    return all(is_bisquare(g) for _, g in _alternating_terms(p, k_max, parity))
 
 
 def alternating_witnesses(
     p: SequenceParams, k_max: int, parity: str
 ) -> list[BisquareWitness]:
     """The examined terms with explicit decompositions; the search route."""
-    _require_square_invariant(p)
-    indices = _alternating_indices(k_max, parity)
-    vals = g_prefix(p, max(indices))
-    out = []
-    for i in indices:
-        if vals[i] < 0:
-            raise DomainError(f"G_{i} = {vals[i]} is negative")
-        out.append(BisquareWitness(i, vals[i], two_square_decomposition(vals[i])))
-    return out
+    return [
+        BisquareWitness(i, g, two_square_decomposition(g))
+        for i, g in _alternating_terms(p, k_max, parity)
+    ]

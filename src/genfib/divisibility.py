@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .core import EVAL_DIGIT_LIMIT, SequenceParams, digit_bound, f_fast, g_prefix, is_cquence
+from .core import EVAL_DIGIT_LIMIT, SequenceParams, digit_bound, f_fast, g_fast, g_prefix, is_cquence
 from .errors import DomainError, HypothesisViolationError, ResourceLimitError
 
 DIVISIBLE = "divisible"
@@ -148,8 +148,7 @@ def check_gm_divides_fm(p: SequenceParams, m: int) -> bool:
     _require_cquence(p)
     if m < 0:
         raise DomainError("m must be non-negative")
-    vals = g_prefix(p, m)
-    return divides(vals[m], f_fast(p.a, p.b, m))
+    return divides(g_fast(p, m), f_fast(p.a, p.b, m))
 
 
 def check_ccop(p: SequenceParams, m: int, q: int) -> bool:
@@ -162,7 +161,7 @@ def check_ccop(p: SequenceParams, m: int, q: int) -> bool:
         raise HypothesisViolationError(
             f"sequence is not divisible up to {m * q}; witness {gate.witness}"
         )
-    return gcd(g_prefix(p, m)[m], f_fast(p.a, p.b, m * q - 1)) == 1
+    return gcd(g_fast(p, m), f_fast(p.a, p.b, m * q - 1)) == 1
 
 
 def scan_divisible(

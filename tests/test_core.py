@@ -7,11 +7,11 @@ implementations cannot share a bug.
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from genfib import DomainError, SequenceParams, f_fast, g_fast, g_iter, g_prefix, is_cquence
 from genfib import ResourceLimitError
-from genfib.core import EVAL_DIGIT_LIMIT, PairState, _f_state, check_digit_cap, digit_bound
+from genfib.core import EVAL_DIGIT_LIMIT, _f_pair, check_digit_cap, digit_bound
 
 
 def reference(u, v, a, b, n):
@@ -59,6 +59,14 @@ params_st = st.tuples(
 
 @given(params_st, st.integers(0, 200))
 @settings(max_examples=300)
+# n = 0 and n = 1 with b = 0, a = 0 and u != 0: the split must give the seeds
+@example((3, -5, 2, 0), 0)
+@example((3, -5, 2, 0), 1)
+@example((-4, 7, 0, 3), 0)
+@example((-4, 7, 0, 3), 1)
+@example((6, 1, 0, 0), 0)
+@example((6, 1, 0, 0), 1)
+@example((6, 1, 0, 0), 2)
 def test_fast_agrees_with_reference(quad, n):
     u, v, a, b = quad
     assert g_fast(SequenceParams(u, v, a, b), n) == reference(u, v, a, b, n)
@@ -85,19 +93,12 @@ def test_negative_index_rejected():
             fn()
 
 
-def test_pair_state_advance():
-    s = PairState(0, 0, 1)
-    s = s.advanced(1, 1).advanced(1, 1).advanced(1, 1)
-    assert (s.index, s.lo, s.hi) == (3, 2, 3)
-
-
 @given(st.integers(-6, 6), st.integers(-6, 6), st.integers(0, 300))
 @settings(max_examples=150)
+@example(0, 0, 0)
+@example(3, 0, 1)
 def test_f_state_carries_consecutive_pair(a, b, n):
-    s = _f_state(a, b, n)
-    assert s.index == n
-    assert s.lo == reference(0, 1, a, b, n)
-    assert s.hi == reference(0, 1, a, b, n + 1)
+    assert _f_pair(a, b, n) == (reference(0, 1, a, b, n), reference(0, 1, a, b, n + 1))
 
 
 def test_is_cquence():
@@ -110,10 +111,6 @@ def test_is_cquence():
     assert not is_cquence(SequenceParams(1, 1, 2, 4))   # gcd(a, b) = 2
     assert not is_cquence(SequenceParams(1, 3, 1, 6))   # gcd(b, v) = 3
     assert not is_cquence(SequenceParams(1, 1, 1, 0))   # b = 0 excluded outright
-
-
-def test_f_params():
-    assert SequenceParams(4, 9, 2, 3).f_params() == SequenceParams(0, 1, 2, 3)
 
 
 @given(st.integers(-50, 50), st.integers(-50, 50), st.integers(-6, 6), st.integers(-9, 9),

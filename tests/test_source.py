@@ -45,3 +45,11 @@ def test_import_builds_no_lazy_tables():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[0, 0]\n"
+
+
+def test_all_names_resolve():
+    # a name left in __all__ after its code is gone breaks `from genfib import *`
+    import genfib
+
+    missing = [name for name in genfib.__all__ if not hasattr(genfib, name)]
+    assert missing == []
