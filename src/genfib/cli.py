@@ -155,7 +155,7 @@ def _cmd_gcd_identity(args, run: _Run) -> None:
         b=args.b,
         max=args.max,
         checked=checked,
-        witness=list(witness) if witness else None,
+        witness=witness,
         status=VIOLATED if witness else OK,
     )
 
@@ -197,7 +197,7 @@ def _cmd_dioph_complete(args, run: _Run) -> None:
         total=rep.total,
         family_matched=rep.family_matched,
         degenerate=rep.degenerate,
-        unmatched=[list(t) for t in rep.unmatched],
+        unmatched=rep.unmatched,
         status=OK if rep.complete else VIOLATED,
     )
 
@@ -218,7 +218,7 @@ def _cmd_bisquare(args, run: _Run) -> None:
             "bisquare",
             n=args.n,
             bisquare=classified,
-            decomposition=list(dec) if dec is not None else None,
+            decomposition=dec,
             status=OK if classified == (dec is not None) else VIOLATED,
         )
 
@@ -231,7 +231,7 @@ def _cmd_alt_bisquable(args, run: _Run) -> None:
             parity=args.parity,
             n=w.n,
             value=w.value,
-            decomposition=list(w.decomposition) if w.decomposition is not None else None,
+            decomposition=w.decomposition,
             status=OK if w.decomposition is not None else VIOLATED,
             **_echo(p),
         )
@@ -260,7 +260,7 @@ def _tau_bounds_fields(a: int, b: int, n: int) -> dict:
 
 def _primitive_fields(a: int, b: int, n: int) -> dict:
     rep = primitive_divisors(a, b, n)
-    return {"primes": list(rep.primitive_primes), "has_primitive": rep.has_primitive}
+    return {"primes": rep.primitive_primes, "has_primitive": rep.has_primitive}
 
 
 class _ScanOnly(argparse.Action):

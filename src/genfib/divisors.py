@@ -16,23 +16,22 @@ q | n, are the primes of F_n whose rank is a proper divisor of n.
 memoised factorizations of the smaller terms. What is left is the primitive
 part, whose primes have rank n. Such a prime p is n itself or has
 n | p - (D/p) with D = a^2 + 4b, so it is +-1 mod n. The primitive part
-goes through three stages in turn:
+goes through two stages in turn:
 
-1. trial division by those candidates only, up to TRIAL_BOUND = 10^4;
-2. Pollard p-1 and Williams p+1 started from the known factor 2n, which
+1. Pollard p-1 and Williams p+1 started from the known factor 2n, which
    split a prime p = 1 mod n when p - 1 is smooth, and a prime p = -1 mod n
    when p + 1 is. The p+1 seed is built from D, so its discriminant is D
    times a square: for the primes with (D/p) = -1, which are the primitive
    primes = -1 mod n, it lies in the group of order p + 1. A gcd that
    catches every prime of the composite at once backs off to its last
    checkpoint and replays the steps one at a time. Starting from 2n, stage 1
-   already finds every candidate prime up to 2n * STAGE1_BOUND, which is why
-   the trial walk stops at 10^4;
-3. the tail on whatever is still composite.
+   alone reaches every primitive prime p up to 2n * STAGE1_BOUND with
+   2n | p - (D/p), so no trial division by the candidates comes first;
+2. the tail on whatever is still composite.
 
-The candidates only order the search: a cofactor is called prime by
-`is_prime` alone, and every factor is divided out of F_n itself. For n < 4,
-F_n goes to `factorize` whole.
+The form of the primitive primes only keys the search: a cofactor is called
+prime by `is_prime` alone, and every factor is divided out of F_n itself.
+For n < 4, F_n goes to `factorize` whole.
 
 Both routes end in one tail: Brent rho over RHO_BUDGET = 10^6 steps, seeded
 from n for `factorize` and from the composite left after p-1/p+1 for F_n,
@@ -59,13 +58,10 @@ from .errors import DomainError, HypothesisViolationError, ResourceLimitError, R
 # ResourceLimitError and report the index as skipped.
 DIGIT_LIMIT = 80
 
-# The primitive part of F_n is trial-divided by its candidates up to
-# TRIAL_BOUND (the generic factorize trial-divides by the primes below 1000
-# only). The tail of one factorization takes at most RHO_BUDGET rho steps and
-# then at most ECM_CURVES curves. The p-1/p+1 stage and ECM run stage 1 over
-# the prime powers up to STAGE1_BOUND and stage 2 over the primes up to
+# The tail of one factorization takes at most RHO_BUDGET rho steps and then
+# at most ECM_CURVES curves. The p-1/p+1 stage and ECM run stage 1 over the
+# prime powers up to STAGE1_BOUND and stage 2 over the primes up to
 # STAGE2_BOUND.
-TRIAL_BOUND = 10**4
 RHO_BUDGET = 1_000_000
 STAGE1_BOUND = 3000
 STAGE2_BOUND = 200_000
@@ -326,20 +322,20 @@ def _factor_f(a: int, b: int, n: int) -> Factorization:
         raise ResourceLimitError(f"F_{n} has {digits} digits, above the {DIGIT_LIMIT}-digit cap")
     if n < 4:
         return factorize(fn)
+    try:
+        imprimitive = _imprimitive_primes(a, b, n)
+    except RhoBudgetError as exc:
+        # the composite left unsplit in some F_{n/q} divides F_n; name F_n
+        # as the number abandoned
+        raise RhoBudgetError(fn, exc.stuck) from None
     counts: dict[int, int] = {}
     m = fn
-    try:
-        for p in _imprimitive_primes(a, b, n):
-            m = _divide_out(m, p, counts)
-        m = _trial_primitive(m, n, counts)
-        if m > 1:
-            m = _split(m, counts, partial(_pm1_divisor, n=n, d=a * a + 4 * b))
-        if m > 1 and (m := _tail(m, counts, m, RHO_BUDGET, ECM_CURVES)) > 1:
-            raise RhoBudgetError(fn, m)
-    except RhoBudgetError as exc:
-        # the composite left unsplit, in some F_{n/q} or in the primitive
-        # part, divides F_n; name F_n as the number abandoned
-        raise RhoBudgetError(fn, exc.stuck) from None
+    for p in imprimitive:
+        m = _divide_out(m, p, counts)
+    if m > 1:
+        m = _split(m, counts, partial(_pm1_divisor, n=n, d=a * a + 4 * b))
+    if m > 1 and (m := _tail(m, counts, m, RHO_BUDGET, ECM_CURVES)) > 1:
+        raise RhoBudgetError(fn, m)
     return Factorization(fn, tuple(sorted(counts.items())))
 
 
@@ -351,34 +347,6 @@ def _divide_out(m: int, p: int, counts: dict[int, int]) -> int:
         e += 1
     if e:
         counts[p] = e
-    return m
-
-
-def _trial_primitive(m: int, n: int, counts: dict[int, int]) -> int:
-    """Trial-divide the primitive part m of F_n by the candidates for rank n.
-
-    The candidates are n and the numbers +-1 mod n (mod 2n for odd n, as p
-    is odd) up to TRIAL_BOUND. A divisor found is recorded only if is_prime
-    accepts it, and so is a prime cofactor. Returns 1, or the composite left
-    for rho.
-    """
-    if m % n == 0 and is_prime(n):
-        m = _divide_out(m, n, counts)
-    step = n if n % 2 == 0 else 2 * n
-    k = step
-    while m > 1:
-        if is_prime(m):
-            counts[m] = counts.get(m, 0) + 1
-            return 1
-        lim = min(TRIAL_BOUND, isqrt(m))
-        while k - 1 <= lim and m % (k - 1) and m % (k + 1):
-            k += step
-        if k - 1 > lim:
-            break
-        for d in (k - 1, k + 1):
-            if m % d == 0 and is_prime(d):
-                m = _divide_out(m, d, counts)
-        k += step
     return m
 
 

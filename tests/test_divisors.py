@@ -413,6 +413,25 @@ def test_pp1_stage2_splits_p_plus_1_one_prime_past_stage1(monkeypatch):
     assert divisors._pm1_divisor(p * HARD_Q2, 101, 5) is None
 
 
+def test_pm1_stage1_reaches_every_small_primitive_prime(monkeypatch):
+    # no trial division runs before p-1/p+1 on the primitive part of F_n:
+    # stage 1 alone, started from 2n, splits each primitive prime p < 10^4
+    # of the criterion-10 pairs off p * HARD_Q1, p = n with n | D included
+    monkeypatch.setattr(divisors, "STAGE2_BOUND", divisors.STAGE1_BOUND)
+    small = list(sympy.primerange(2, 10**4))
+    checked = []
+    for a, b in [(1, 1), (2, 1), (1, 2), (3, 1)]:
+        for n in range(4, 91):
+            fn = f_fast(a, b, n)
+            for p in small:
+                if fn % p == 0 and rank_of_apparition(a, b, p, limit=n) == n:
+                    assert divisors._pm1_divisor(p * HARD_Q1, n, a * a + 4 * b) == p, (a, b, n, p)
+                    checked.append((a, b, n, p))
+    # p = n with n | D, for (1, 1) and (3, 1), and 13^2 = F_7 of (2, 1)
+    assert {(1, 1, 5, 5), (3, 1, 13, 13), (2, 1, 7, 13)} <= set(checked)
+    assert f_fast(2, 1, 7) == 13**2
+
+
 def _smooth_split(m, n, d, counts):
     """The p-1/p+1 stage on m, a divisor of the primitive part of F_n with a^2 + 4b = d."""
     return divisors._split(m, counts, partial(divisors._pm1_divisor, n=n, d=d))

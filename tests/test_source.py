@@ -53,3 +53,29 @@ def test_all_names_resolve():
 
     missing = [name for name in genfib.__all__ if not hasattr(genfib, name)]
     assert missing == []
+
+
+def test_every_module_constant_is_read():
+    # an upper-case module constant that no code reads is a knob left behind
+    # by code that is gone
+    defined = {}
+    read = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                if isinstance(target, ast.Name) and target.id.isupper():
+                    defined[target.id] = f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    assert defined
+    assert sorted(loc for name, loc in defined.items() if name not in read) == []
