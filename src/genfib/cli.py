@@ -2,8 +2,8 @@
 
 Records carry a kind tag, an echo of the inputs, the result payload, and a
 status among ok / violated / skipped. Exit code 0 when every record is ok,
-1 when any check is violated, 2 on usage errors (including inputs that fail
-an operation's hypotheses), 3 when a resource limit was hit.
+1 when any check is violated, 2 on usage errors (including a DomainError or
+HypothesisViolationError from the package), 3 when a resource limit was hit.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from functools import cache, partial
 
 from .core import SequenceParams, check_digit_cap, g_fast, g_iter
@@ -28,7 +29,7 @@ from .diophantine import (
 )
 from .divisibility import gcd_identity_grid, scan_divisible
 from .divisors import check_tau_bounds, primitive_divisors
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, HypothesisViolationError, ResourceLimitError
 from .identities import addition_sides, determinant_sides
 from .quadfield import binet_eval, binet_repeated_root, discriminant
 
@@ -190,16 +191,7 @@ def _cmd_dioph_oracle(args, run: _Run) -> None:
 
 def _cmd_dioph_complete(args, run: _Run) -> None:
     rep = completeness_report(args.z_max, args.lm_max)
-    run.emit(
-        "dioph-complete",
-        z_max=rep.z_max,
-        param_bound=rep.param_bound,
-        total=rep.total,
-        family_matched=rep.family_matched,
-        degenerate=rep.degenerate,
-        unmatched=rep.unmatched,
-        status=OK if rep.complete else VIOLATED,
-    )
+    run.emit("dioph-complete", status=OK if rep.complete else VIOLATED, **asdict(rep))
 
 
 def _cmd_bisquare(args, run: _Run) -> None:
@@ -226,15 +218,8 @@ def _cmd_bisquare(args, run: _Run) -> None:
 def _cmd_alt_bisquable(args, run: _Run) -> None:
     p = SequenceParams(args.u, args.v, args.a, args.b)
     for w in alternating_witnesses(p, args.k_max, args.parity):
-        run.emit(
-            "alt-bisquable",
-            parity=args.parity,
-            n=w.n,
-            value=w.value,
-            decomposition=w.decomposition,
-            status=OK if w.decomposition is not None else VIOLATED,
-            **_echo(p),
-        )
+        status = OK if w.decomposition is not None else VIOLATED
+        run.emit("alt-bisquable", parity=args.parity, status=status, **asdict(w), **_echo(p))
 
 
 def _cmd_each_index(first: int, fields, args, run: _Run) -> None:
@@ -357,7 +342,7 @@ def run(argv: list[str] | None = None) -> int:
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (DomainError, HypothesisViolationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return runner.exit_code

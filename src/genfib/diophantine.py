@@ -1,9 +1,11 @@
 """The equation 5x^2 + 4y^2 = z^2, sums of two squares, and seed-pair searches.
 
 The equation's solutions are generated by four two-parameter families and
-checked for completeness against exhaustive enumeration. The two-square
-(bisquare) machinery classifies values via factorization, with a direct
-search as the independent second route.
+checked for completeness against exhaustive enumeration. F3 and F4 come from
+one formula in (s, t) = (5l^2, m^2) or (l^2, 5m^2); F1 and F2 are F3 and F4
+divided by 4, which is exact for odd l and m, since then s - t and 2(s + t)
+are 4 mod 8. The two-square (bisquare) machinery classifies values via
+factorization, with a direct search as the independent second route.
 """
 
 from __future__ import annotations
@@ -11,7 +13,8 @@ from __future__ import annotations
 import enum
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import count
+from functools import reduce
+from itertools import count, product
 from math import gcd, isqrt
 
 from .core import SequenceParams, g_prefix
@@ -36,20 +39,6 @@ class DiophSolution:
     params: tuple[int, int, int]  # (k, l, m)
 
 
-def _exact_quarter(t: int) -> int:
-    q, r = divmod(t, 4)
-    if r:
-        raise AssertionError(f"{t} is not divisible by 4")
-    return q
-
-
-def _exact_half(t: int) -> int:
-    q, r = divmod(t, 2)
-    if r:
-        raise AssertionError(f"{t} is not even")
-    return q
-
-
 def families_for(l: int, m: int) -> tuple[Family, ...]:
     """The families whose members with parameters l, m are defined.
 
@@ -66,11 +55,13 @@ def families_for(l: int, m: int) -> tuple[Family, ...]:
 def family_solution(family: Family | str, k: int, l: int, m: int) -> DiophSolution:
     """One member of the named solution family.
 
-    F1 = (klm, k(5l^2-m^2)/4, k(5l^2+m^2)/2) and F2 with l, m swapped roles
-    need l and m both odd, which makes the divisions exact. F3 and F4 are the
-    same shapes scaled clear of denominators; they only need gcd(l, m) = 1,
-    and with parameters of opposite parity they are the families that reach
-    the solutions with even z. `families_for` applies these gates.
+    F3 = (4klm, k(s - t), 2k(s + t)) with (s, t) = (5l^2, m^2), and F4 is the
+    same with (s, t) = (l^2, 5m^2); they only need gcd(l, m) = 1, and with
+    parameters of opposite parity they are the families that reach the
+    solutions with even z. F1 and F2 are F3 and F4 divided by 4, which needs
+    l and m both odd: then l^2 = m^2 = 1 (mod 8), so s - t = 4 and
+    2(s + t) = 12 = 4 (mod 8), and the division is exact. `families_for`
+    applies these gates.
     """
     fam = Family(family)
     fams = families_for(l, m)
@@ -80,15 +71,9 @@ def family_solution(family: Family | str, k: int, l: int, m: int) -> DiophSoluti
         raise HypothesisViolationError(
             f"{fam.value} needs l and m odd; got l={l}, m={m}"
         )
-    if fam is Family.F1:
-        x, y, z = k * l * m, k * _exact_quarter(5 * l * l - m * m), k * _exact_half(5 * l * l + m * m)
-    elif fam is Family.F2:
-        x, y, z = k * l * m, k * _exact_quarter(l * l - 5 * m * m), k * _exact_half(l * l + 5 * m * m)
-    elif fam is Family.F3:
-        x, y, z = 4 * k * l * m, k * (5 * l * l - m * m), 2 * k * (5 * l * l + m * m)
-    else:
-        x, y, z = 4 * k * l * m, k * (l * l - 5 * m * m), 2 * k * (l * l + 5 * m * m)
-    return DiophSolution(x, y, z, fam, (k, l, m))
+    s, t = (5 * l * l, m * m) if fam in (Family.F1, Family.F3) else (l * l, 5 * m * m)
+    d = 4 if fam in (Family.F1, Family.F2) else 1
+    return DiophSolution(4 * k * l * m // d, k * (s - t) // d, 2 * k * (s + t) // d, fam, (k, l, m))
 
 
 def is_solution(x: int, y: int, z: int) -> bool:
@@ -231,41 +216,22 @@ def _assembled_decomposition(fac: Factorization) -> tuple[int, int] | None:
     congruent to 1 mod 4, so enumerating those splits and taking the minimum
     first coordinate is deterministic and exhaustive.
     """
-    real = 1
-    parts: list[list[tuple[int, int]]] = []
-    acc = (1, 0)
+    # (1 + i)^a for 2^a and q^f for q^(2f), q = 3 mod 4, are the same in
+    # every representation; p^e, p = 1 mod 4, contributes pi^j * conj(pi)^(e-j)
+    fixed = (1, 0)
+    parts = []
     for p, e in fac.factors:
         if p == 2:
-            for _ in range(e):
-                acc = _cmul(acc, (1, 1))
+            fixed = reduce(_cmul, [(1, 1)] * e, fixed)
         elif p % 4 == 3:
             if e % 2:
                 return None
-            real *= p ** (e // 2)
+            fixed = _cmul(fixed, (p ** (e // 2), 0))
         else:
             pi = _prime_two_squares(p)
             conj = (pi[0], -pi[1])
-            choices = []
-            for j in range(e + 1):
-                w = (1, 0)
-                for _ in range(j):
-                    w = _cmul(w, pi)
-                for _ in range(e - j):
-                    w = _cmul(w, conj)
-                choices.append(w)
-            parts.append(choices)
-    acc = (acc[0] * real, acc[1] * real)
-    results: set[tuple[int, int]] = set()
-    stack = [(0, acc)]
-    while stack:
-        i, cur = stack.pop()
-        if i == len(parts):
-            r, s = abs(cur[0]), abs(cur[1])
-            results.add((min(r, s), max(r, s)))
-            continue
-        for w in parts[i]:
-            stack.append((i + 1, _cmul(cur, w)))
-    return min(results)
+            parts.append([reduce(_cmul, [pi] * j + [conj] * (e - j)) for j in range(e + 1)])
+    return min(tuple(sorted(map(abs, reduce(_cmul, ws, fixed)))) for ws in product(*parts))
 
 
 def two_square_decomposition(n: int) -> tuple[int, int] | None:

@@ -49,9 +49,9 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache, partial, wraps
 from itertools import compress
-from math import gcd, isqrt, prod
+from math import gcd, isqrt, log10, prod
 
-from .core import f_fast
+from .core import EVAL_DIGIT_LIMIT, SequenceParams, check_digit_cap, f_fast
 from .errors import DomainError, HypothesisViolationError, ResourceLimitError, RhoBudgetError
 
 # F_n values above this many decimal digits are not factored; callers see a
@@ -316,9 +316,17 @@ def _imprimitive_primes(a: int, b: int, n: int) -> set[int]:
 @_memoised
 def _factor_f(a: int, b: int, n: int) -> Factorization:
     """Factorization of F_n, memoised; a ResourceLimitError is memoised too."""
+    # F_n <= (a + b)^(n - 1) has fewer than n * bits(a + b) bits, so it is
+    # under the cap while that is at most EVAL_DIGIT_LIMIT; the digit bound,
+    # which costs more than evaluating a small F_n, is computed only past it
+    if n * (a + b).bit_length() > EVAL_DIGIT_LIMIT:
+        check_digit_cap(SequenceParams(0, 1, a, b), n)
     fn = f_fast(a, b, n)
-    digits = len(str(fn))
-    if digits > DIGIT_LIMIT:
+    if fn >= 10**DIGIT_LIMIT:
+        # log10 is off by far less than 1/2, so 10^k with k = round(log10(fn))
+        # is the one power of ten the digit count can turn on
+        k = round(log10(fn))
+        digits = k + (fn >= 10**k)
         raise ResourceLimitError(f"F_{n} has {digits} digits, above the {DIGIT_LIMIT}-digit cap")
     if n < 4:
         return factorize(fn)

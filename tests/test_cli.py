@@ -289,6 +289,26 @@ def run_in_process(capsys, argv):
     return out.out, out.err, code
 
 
+def test_terms_past_the_str_digit_limit_are_skipped(capsys):
+    # F_n of (10^100, 1) has 100(n - 1) + 1 digits, so from n = 44 on it is
+    # past the interpreter's 4300-digit int -> str limit as well as the cap
+    out, err, code = run_in_process(capsys, ["primitive", "--a", str(10**100), "--b", "1",
+                                             "--n-max", "50"])
+    recs = [json.loads(line) for line in out.splitlines()]
+    assert (code, err, len(recs)) == (3, "", 50)
+    assert [r["n"] for r in recs if r["status"] == "skipped"] == list(range(2, 51))
+    assert recs[43]["reason"] == "F_44 has 4301 digits, above the 80-digit cap"
+
+
+def test_only_the_package_input_errors_exit_2(monkeypatch):
+    def broken(n):
+        raise ValueError("not an input error")
+
+    monkeypatch.setattr(cli, "two_square_decomposition", broken)
+    with pytest.raises(ValueError, match="not an input error"):
+        cli.run(["bisquare", "--n", "45"])
+
+
 def test_in_process_runs_match_fresh_runs(capsys):
     fresh = [run_cli(*argv) for argv in MIXED_ARGVS]
     fresh = [(proc.stdout, proc.stderr, proc.returncode) for proc in fresh]

@@ -4,10 +4,11 @@ The brute-force enumerations and decompositions frozen here were produced
 independently of the library (plain loops plus a CAS) before being pinned.
 """
 
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+from sympy.solvers.diophantine.diophantine import sum_of_squares
 
 from genfib import (
     DomainError,
@@ -88,6 +89,10 @@ def test_families_always_solve(fam, k, l, m):
         return
     s = family_solution(fam, k, l, m)
     assert 5 * s.x * s.x + 4 * s.y * s.y == s.z * s.z
+    if fam in (Family.F1, Family.F2):
+        # F1 and F2 are F3 and F4 divided by 4, with nothing lost to rounding
+        scaled = family_solution(Family.F3 if fam is Family.F1 else Family.F4, k, l, m)
+        assert _xyz(scaled) == (4 * s.x, 4 * s.y, 4 * s.z)
 
 
 def test_brute_force_oracle():
@@ -148,6 +153,24 @@ def test_two_square_large_uses_factorization():
     # a prime power of a 3 mod 4 prime above the search threshold
     assert two_square_decomposition(1000003**2) == (0, 1000003)
     assert two_square_decomposition(1000003 * 3) is None
+    # an odd power of 3 among repeated primes = 1 mod 4
+    n = 5**4 * 13**3 * 17**2 * 2**3 * 3**3
+    assert two_square_decomposition(n) is None and list(sum_of_squares(n, 2, zeros=True)) == []
+
+
+@given(
+    st.integers(0, 4),
+    st.dictionaries(st.sampled_from([5, 13, 17, 29, 37, 41, 53]), st.integers(1, 4),
+                    min_size=1, max_size=3),
+    st.dictionaries(st.sampled_from([3, 7, 11, 19]), st.integers(1, 2), max_size=2),
+)
+@settings(max_examples=60, deadline=None)
+def test_two_squares_past_the_search_match_sympy(a, ps, qs):
+    # n = 2^a * prod p^e * prod q^(2f), p = 1 and q = 3 mod 4, is assembled
+    # from its factorization above the search threshold
+    n = 2**a * prod(p**e for p, e in ps.items()) * prod(q ** (2 * f) for q, f in qs.items())
+    assume(10**6 < n < 10**11)
+    assert two_square_decomposition(n) == min(sum_of_squares(n, 2, zeros=True))
 
 
 def test_assembly_agrees_with_search():

@@ -281,6 +281,22 @@ def test_digit_cap_raises():
     # F_500 runs past the factorization digit cap
     with pytest.raises(ResourceLimitError):
         check_tau_bounds(1, 1, 500)
+    # F_2 = a, so a = 10^100 is the first value with 101 digits
+    with pytest.raises(ResourceLimitError, match=r"^F_2 has 101 digits, above the 80-digit cap$"):
+        primitive_divisors(10**100, 1, 2)
+    with pytest.raises(ResourceLimitError, match=r"^F_2 has 100 digits, above the 80-digit cap$"):
+        primitive_divisors(10**100 - 1, 1, 2)
+
+
+def test_huge_indices_are_refused_before_evaluation(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("F_n was evaluated")
+
+    monkeypatch.setattr(divisors, "f_fast", refuse)
+    for call in (partial(check_tau_bounds, 1, 1, 10**15), partial(check_tau_prime_power, 1, 1, 3, 40),
+                 partial(primitive_divisors, 1, 1, 10**12)):
+        with pytest.raises(ResourceLimitError, match="above the 1000000-digit cap"):
+            call()
 
 
 def test_factorization_is_value_object():

@@ -32,6 +32,20 @@ def test_no_fractions_import():
     assert found == []
 
 
+def test_no_len_of_str():
+    # len(str(n)) raises past the interpreter's 4300-digit int -> str limit
+    # and takes quadratic time below it
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "len"
+        and any(isinstance(arg, ast.Call) and isinstance(arg.func, ast.Name) and arg.func.id == "str"
+                for arg in node.args)
+    ]
+    assert found == []
+
+
 def test_import_builds_no_lazy_tables():
     # the p-1/p+1 tables and the CLI parser are built on first use, so
     # importing the package stays as cheap as it was before they existed
