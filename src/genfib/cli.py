@@ -248,15 +248,33 @@ def _primitive_fields(a: int, b: int, n: int) -> dict:
     return {"primes": rep.primitive_primes, "has_primitive": rep.has_primitive}
 
 
-class _ScanOnly(argparse.Action):
-    """A flag of `bisquare scan` given to `bisquare` itself, refused by its name.
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that names a flag it does not take, given before its sub-command.
 
-    Without it, argparse would set the unknown flag aside, read its value as
-    the `scan` positional, and name the value instead of the flag.
+    argparse would set the flag aside and read its value as the sub-command.
     """
 
-    def __call__(self, parser, namespace, values, option_string=None):
-        parser.error(f"{option_string} is a flag of 'bisquare scan'")
+    commands = None
+
+    def add_subparsers(self, **kwargs):
+        self.commands = super().add_subparsers(**kwargs)
+        return self.commands
+
+    def parse_known_args(self, args=None, namespace=None):
+        for arg in args if self.commands else ():
+            if arg == "--" or arg in self.commands.choices:
+                break
+            if arg[:1] == "-" and arg[1:2] not in "0123456789." and not _options(self, arg):
+                for sub in self.commands.choices.values():
+                    for flag in _options(sub, arg)[:1]:
+                        self.error(f"{flag} is a flag of '{sub.prog.partition(' ')[2]}'")
+                self.error(f"unrecognized arguments: {arg}")
+        return super().parse_known_args(args, namespace)
+
+
+def _options(parser: argparse.ArgumentParser, arg: str) -> list[str]:
+    """The option strings of parser that arg gives, whole or abbreviated, before any =value."""
+    return [s for s in parser._option_string_actions if s.startswith(arg.partition("=")[0])]
 
 
 @cache
@@ -273,7 +291,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     # each add_subparsers is given its prog, which argparse would otherwise
     # derive by formatting a usage line: the same text, at a cost per call
-    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
+    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog,
+                                parser_class=_Parser)
 
     def _command(group, name: str, help: str, func, *flags: str):
         """Add leaf `name`, run by `func`; every flag is required, `*-range` ones as lo..hi."""
@@ -310,13 +329,10 @@ def _build_parser() -> argparse.ArgumentParser:
     _command(dsub, "complete", "match the exhaustive list against the families",
              _cmd_dioph_complete, "z-max", "lm-max")
 
-    scan_flags = ("u-max", "v-max", "a", "b")
     sp = _command(sub, "bisquare", "two-square decomposition / seed-pair scan", _cmd_bisquare)
     sp.add_argument("--n", type=int, default=None)
-    sp.add_argument(*(f"--{flag}" for flag in scan_flags), action=_ScanOnly, nargs="?",
-                    default=argparse.SUPPRESS, help=argparse.SUPPRESS)
     _command(sp.add_subparsers(dest="mode", prog=sp.prog), "scan",
-             "seed pairs whose invariant D is a square", _cmd_bisquare, *scan_flags)
+             "seed pairs whose invariant D is a square", _cmd_bisquare, "u-max", "v-max", "a", "b")
 
     sp = _command(sub, "alt-bisquable", "alternating-index bisquare check", _cmd_alt_bisquable,
                   *seed, "k-max")

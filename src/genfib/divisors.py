@@ -7,31 +7,28 @@ up to 37. That is a strong pseudoprime screen, not a proof:
 psi_12 = 318665857834031151167461 is composite and passes every base. A BPSW
 test is pending.
 
-F_n is factored through its divisibility structure when n >= 4. A prime of
-gcd(a, b) divides every F_m from m = 2 on, and a prime of b alone divides
-none. For every other prime p, p | F_m exactly when the rank of apparition
-of p divides m, so the primes of gcd(a, b) and of F_{n/q}, for the primes
-q | n, are the primes of F_n whose rank is a proper divisor of n.
-`_factor_f` divides those out of F_n completely, taking them from its own
-memoised factorizations of the smaller terms. What is left is the primitive
-part, whose primes have rank n. Such a prime p is n itself or has
-n | p - (D/p) with D = a^2 + 4b, so it is +-1 mod n. The primitive part
-goes through two stages in turn:
+F_n is factored through its divisibility structure. A prime of gcd(a, b)
+divides every F_m from m = 2 on, and a prime of b alone divides none. For
+every other prime p, p | F_m exactly when the rank of apparition of p
+divides m, so the primes of gcd(a, b) and of F_{n/q}, for the primes q | n,
+are the primes of F_n whose rank is a proper divisor of n. `_factor_f`
+divides those out of F_n completely, taking them from its own memoised
+factorizations of the smaller terms. What is left is the primitive part,
+whose primes have rank n. Such a prime p is n itself or has n | p - (D/p)
+with D = a^2 + 4b, so it is +-1 mod n. The primitive part goes through two
+stages in turn:
 
-1. Pollard p-1 and Williams p+1 started from the known factor 2n, which
-   split a prime p = 1 mod n when p - 1 is smooth, and a prime p = -1 mod n
-   when p + 1 is. The p+1 seed is built from D, so its discriminant is D
-   times a square: for the primes with (D/p) = -1, which are the primitive
-   primes = -1 mod n, it lies in the group of order p + 1. A gcd that
-   catches every prime of the composite at once backs off to its last
-   checkpoint and replays the steps one at a time. Starting from 2n, stage 1
-   alone reaches every primitive prime p up to 2n * STAGE1_BOUND with
-   2n | p - (D/p), so no trial division by the candidates comes first;
+1. Pollard p-1 from the known factor 2n, a stage-1 fast path, then one
+   Williams p+1 walk, stage 1 and stage 2, keyed to D so that it serves the
+   primes 1 and -1 mod n alike (`_pm1_divisor`). A gcd that catches every
+   prime of the composite at once backs off to its last checkpoint and
+   replays the steps one at a time. Starting from 2n, stage 1 alone reaches
+   every primitive prime p up to 2n * STAGE1_BOUND with 2n | p - (D/p), so
+   no trial division by the candidates comes first;
 2. the tail on whatever is still composite.
 
 The form of the primitive primes only keys the search: a cofactor is called
 prime by `is_prime` alone, and every factor is divided out of F_n itself.
-For n < 4, F_n goes to `factorize` whole.
 
 Both routes end in one tail: Brent rho over RHO_BUDGET = 10^6 steps, seeded
 from n for `factorize` and from the composite left after p-1/p+1 for F_n,
@@ -328,8 +325,6 @@ def _factor_f(a: int, b: int, n: int) -> Factorization:
         k = round(log10(fn))
         digits = k + (fn >= 10**k)
         raise ResourceLimitError(f"F_{n} has {digits} digits, above the {DIGIT_LIMIT}-digit cap")
-    if n < 4:
-        return factorize(fn)
     try:
         imprimitive = _imprimitive_primes(a, b, n)
     except RhoBudgetError as exc:
@@ -403,50 +398,54 @@ def _tail(m: int, counts: dict[int, int], seed: int, steps: int, curves: int) ->
 
 
 def _pm1_divisor(c: int, n: int, d: int) -> int | None:
-    """A proper divisor of the composite c by Pollard p-1 and Williams p+1, or None.
+    """A proper divisor of the composite c by Pollard p-1, then one Lucas walk, or None.
 
-    c divides the primitive part of F_n, whose primes p have n | p - (d/p)
-    with d = a^2 + 4b, so both sides start from the known factor 2n: at
-    3^(2n) for p-1 and at V_2n(P) for p+1. The p+1 seed P = 2(1 + d)/(1 - d)
-    has discriminant P^2 - 4 = 16d/(1 - d)^2, d times a square, so mod p the
-    roots of x^2 - Px + 1 have order dividing p + 1 exactly when
-    (d/p) = -1: for the primitive primes that are -1 mod n. Stage 1 then
-    raises each side by the prime powers up to STAGE1_BOUND, and stage 2
-    allows one more prime in (STAGE1_BOUND, STAGE2_BOUND] on the Lucas
-    values of both sides (x + 1/x for p-1) in one pass. A gcd equal to c
-    backs off: the stretch it covers is replayed one step at a time, so that
-    primes of c caught together are found apart. Only a single stage-1 step
-    that catches every prime of c at once drops that side. If no side
-    splits c, it is left for rho.
+    The primes p of c, primitive in F_n, have n | p - (d/p) with
+    d = a^2 + 4b, so both start from the known factor 2n. p-1 is a stage-1
+    fast path on `pow`. The Williams p+1 walk, stage 1 from V_2n(P) and
+    stage 2 on its value, serves the primes 1 and -1 mod n alike: its seed
+    P = 2(1 + 4d)/(1 - 4d) = s + 1/s, s = (1 + 2 sqrt d)/(1 - 2 sqrt d), has
+    P^2 - 4 = 64d/(1 - 4d)^2, d times a square, so s has order | p - (d/p).
+
+    s is never +-(alpha/beta)^j, a power of the root ratio, whose order mod
+    every primitive prime is n: from it the walk would catch all of c at its
+    start, as from 2(1 + d)/(1 - d) = alpha/beta + beta/alpha when a = 1.
+    As (1 - 4d)s = (1 + 2 sqrt d)^2 and -4b alpha/beta = (a + sqrt d)^2, for
+    d not a square that would make 1 + 2 sqrt d a rational multiple of
+    (a +- sqrt d)^k or sqrt d (a +- sqrt d)^k, k >= 1 (k = 0 is plain). But
+    (a + sqrt d)^k = x + y sqrt d has x >= y > 0 and x < 2dy (by induction),
+    so the ratio of rational to sqrt d part, 1/2 for 1 + 2 sqrt d, is
+    x/y >= 1, dy/x > 1/2 or negative. For d = r^2, the terms of
+    s = -(2r + 1)/(2r - 1) differ by 2; those of (-(r + a)/(r - a))^k differ
+    by 3 or more for k >= 2, and match at k = 1 only if r + a = a(2r + 1).
+    k = 2 in (k + sqrt d)/(k - sqrt d) would not be safe: it gives
+    (alpha/beta)^3 for (1, 1).
+
+    A gcd equal to c backs off and replays its stretch one step at a time;
+    only a single step that catches all of c gives up that stage.
     """
     if c % 3 == 0:
         # 3, the p-1 base, must be invertible mod c
         return 3
     chunks, k0, blocks = _stage_tables(STAGE1_BOUND, STAGE2_BOUND)
-    values = []
-    g, x = _stage1(pow(3, 2 * n, c), lambda x: x - 1, pow, chunks, c)
+    g, _ = _stage1(pow(3, 2 * n, c), lambda x: x - 1, pow, chunks, c)
     if 1 < g < c:
         return g
+    g = gcd(1 - 4 * d, c)
     if g == 1:
-        values.append((x + pow(x, -1, c)) % c)
-    g = gcd(1 - d, c)
-    if 1 < g < c:
-        return g
-    if g == 1:
-        v = _lucas_v(2 * (1 + d) * pow(1 - d, -1, c), 2 * n, c)
+        v = _lucas_v(2 * (1 + 4 * d) * pow(1 - 4 * d, -1, c), 2 * n, c)
         g, v = _stage1(v, lambda v: v - 2, _lucas_v, chunks, c)
-        if 1 < g < c:
-            return g
         if g == 1:
-            values.append(v)
-    return _stage2(values, k0, blocks, c)
+            return _stage2(v, k0, blocks, c)
+    return g if g < c else None
 
 
 def _stage1(x, key, step, chunks, c: int):
     """Walk stage 1 on c from the point x, which is the start or the value after the 2n step.
 
-    step(x, e, c) multiplies the point by e: `pow` for p-1, `_lucas_v` for
-    p+1, `_ecm_mul` for ECM. A prime p of c is caught once key(x) = 0 mod p.
+    step(x, e, c) multiplies the point by e: `pow` for the p-1 fast path,
+    `_lucas_v` for the one Lucas walk that serves the primes 1 and -1 mod n,
+    `_ecm_mul` for ECM. A prime p of c is caught once key(x) = 0 mod p.
     The gcd is taken at the start and after each chunk; a chunk whose gcd is
     c is replayed one prime at a time from its start. Returns (g, x): g is a
     proper divisor of c, or c when a single step caught every prime of c
@@ -491,35 +490,28 @@ def _lucas_v(p: int, e: int, m: int) -> int:
 _GIANT_STEP = 210
 
 
-def _stage2(values: list[int], k0: int, blocks, c: int) -> int | None:
-    """A proper divisor of c from stage 2 on the Lucas values of the sides left, or None.
+def _stage2(v: int, k0: int, blocks, c: int) -> int | None:
+    """A proper divisor of c from stage 2 on the Lucas value v = s + 1/s that stage 1 left, or None.
 
-    Each side v = s + 1/s walks the giant steps V_kw(v), and each term
+    The walk takes the giant steps V_kw(v), and each term
     V_kw - V_j = s^-kw (s^kw - s^j)(s^kw - s^-j) vanishes mod p when the
-    order of s mod p divides kw - j or kw + j. The terms of both sides go
-    into one product per block of giant steps; a block whose gcd is c is
-    replayed one term at a time, and a term that is 0 mod c is passed over.
+    order of s mod p divides kw - j or kw + j. The terms go into one product
+    per block of giant steps; a block whose gcd is c is replayed one term at
+    a time, and a term that is 0 mod c is passed over.
     """
-    if not values or not blocks:
-        return None
-    # a lone side is paired with itself: that squares the product, which
-    # leaves the primes of c dividing it as they were
-    pair = (values * 2)[:2]
-    (baby1, step1, p1, x1), (baby2, step2, p2, x2) = (_giant_walk(v, k0, c) for v in pair)
+    baby, step, prev, x = _giant_walk(v, k0, c)
     for block in blocks:
         walk = []
         for _ in block:
-            walk.append((x1, x2))
-            p1, x1 = x1, (step1 * x1 - p1) % c
-            p2, x2 = x2, (step2 * x2 - p2) % c
+            walk.append(x)
+            prev, x = x, (step * x - prev) % c
         acc = 1
-        for (y1, y2), offsets in zip(walk, block):
+        for y, offsets in zip(walk, block):
             for j in offsets:
-                acc = acc * (y1 - baby1[j]) * (y2 - baby2[j]) % c
+                acc = acc * (y - baby[j]) % c
         g = gcd(acc, c)
         if g == c:
-            terms = (t for (y1, y2), offsets in zip(walk, block)
-                     for j in offsets for t in (y1 - baby1[j], y2 - baby2[j]))
+            terms = (y - baby[j] for y, offsets in zip(walk, block) for j in offsets)
             g = next((h for t in terms if 1 < (h := gcd(t, c)) < c), 1)
         if g > 1:
             return g

@@ -254,6 +254,10 @@ def test_usage_errors_exit_2():
     # the error names the stray flag, not the value argparse would read as `scan`
     proc = run_cli("bisquare", "--n", "45", "--u-max", "3")
     assert proc.stderr.splitlines()[-1] == "genfib bisquare: error: --u-max is a flag of 'bisquare scan'"
+    # and a flag that no mode takes is named too
+    proc = run_cli("bisquare", "--n", "45", "--foo", "3")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines()[-1] == "genfib bisquare: error: unrecognized arguments: --foo"
 
 
 def test_hypothesis_violation_exits_2_with_diagnostic():

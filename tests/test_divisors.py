@@ -522,14 +522,22 @@ def test_pm1_backoff_splits_a_stage1_collision():
     assert divisors._pm1_divisor(c, 101, 5) in PM1_PAIR
 
 
+def _walk_seed(d, c):
+    """The seed 2(1 + 4d)/(1 - 4d) mod c of the Lucas walk."""
+    return 2 * (1 + 4 * d) * pow(1 - 4 * d, -1, c)
+
+
 def test_pp1_backoff_splits_a_stage1_collision():
     c = PP1_PAIR[0] * PP1_PAIR[1]
     for p in PP1_PAIR:
         assert sympy.isprime(p) and p % 101 == 100 and sympy.jacobi_symbol(5, p) == -1
         assert max(sympy.factorint((p + 1) // 202)) <= 53
         assert max(sympy.factorint(p - 1)) > divisors.STAGE2_BOUND
-    seed = 2 * (1 + 5) * pow(1 - 5, -1, c)
-    assert divisors._lucas_v(seed, 2 * 101 * _stage1_exponent(), c) == 2
+        # the walk does not catch p at its start
+        assert divisors._lucas_v(_walk_seed(5, c), 2 * 101, p) != 2
+    # but catches both primes in the first chunk of stage 1, in one gcd
+    (first, _), *_ = divisors._stage_tables(divisors.STAGE1_BOUND, divisors.STAGE2_BOUND)[0]
+    assert divisors._lucas_v(_walk_seed(5, c), 2 * 101 * first, c) == 2
     assert divisors._pm1_divisor(c, 101, 5) in PP1_PAIR
 
 
@@ -539,12 +547,39 @@ def test_stage2_backoff_splits_a_collision_in_one_giant_step(monkeypatch):
     for p, q in zip(STAGE2_PAIR, (49877, 50077)):
         assert sympy.isprime(p) and sympy.isprime(q) and p % 101 == 1
         assert max(sympy.factorint((p - 1) // (202 * q))) <= 43
-        assert pow(3, e, p) != 1 and pow(3, e * q, p) == 1
+        assert pow(3, e, p) != 1
+        # (5/p) = 1, so the walk runs mod p in the group of order p - 1:
+        # stage 1 leaves p, and the stage-2 prime q catches it
+        assert sympy.jacobi_symbol(5, p) == 1
+        assert divisors._lucas_v(_walk_seed(5, p), e, p) != 2
+        assert divisors._lucas_v(_walk_seed(5, p), e * q, p) == 2
     # 49877 = 238*210 - 103 and 50077 = 238*210 + 97: the same giant step
     assert (49877 + 105) // 210 == (50077 + 105) // 210
     assert divisors._pm1_divisor(c, 101, 5) in STAGE2_PAIR
     monkeypatch.setattr(divisors, "STAGE2_BOUND", divisors.STAGE1_BOUND)
     assert divisors._pm1_divisor(c, 101, 5) is None
+
+
+# pairs of primitive primes of one F_n that the walk splits; a walk seeded
+# with the root ratio, as 2(1 + d)/(1 - d) is when a = 1, has order n mod
+# both and catches all of c at V_2n, and p-1 cannot split them alone
+@pytest.mark.parametrize("a, b, n, pair", [
+    # both -1 mod 211 with (5/p) = -1, p + 1 = 2*17*211*3137 and 2*3*211*30403,
+    # p - 1 not smooth
+    (1, 1, 211, (22504837, 38490197)),
+    # d = 9 is a square and both are 1 mod 76; p - 1 = 2^2*3*19 and 2^3*3*19
+    # are caught by the same step of p-1
+    (1, 2, 76, (229, 457)),
+])
+def test_lucas_walk_splits_primitive_pairs(a, b, n, pair):
+    d = a * a + 4 * b
+    c = pair[0] * pair[1]
+    assert f_fast(a, b, n) % c == 0
+    assert all(sympy.isprime(p) and rank_of_apparition(a, b, p, limit=n) == n for p in pair)
+    assert divisors._lucas_v(2 * (1 + d) * pow(1 - d, -1, c), 2 * n, c) == 2
+    chunks = divisors._stage_tables(divisors.STAGE1_BOUND, divisors.STAGE2_BOUND)[0]
+    assert divisors._stage1(pow(3, 2 * n, c), lambda x: x - 1, pow, chunks, c)[0] in (1, c)
+    assert divisors._pm1_divisor(c, n, d) in pair
 
 
 def _smooth_primes(sign):

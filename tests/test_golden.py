@@ -3,8 +3,10 @@
 `data/cli_golden.json` holds, for each argv, the sha256 of stdout and of
 stderr and the exit code that `genfib.cli.run` gave. The argvs are the
 seed-1 invocations of the three benchmark workloads (factor-sweep,
-eval-identity, bisquare-mix) followed by the criterion-11 CLI fixtures;
-they are copied into the file so that this test does not depend on the
+eval-identity, bisquare-mix), then the criterion-11 CLI fixtures, then
+`primitive --a 2 --b 1 --n-max 113`, whose n = 113 record is a skip on a
+composite that p-1/p+1, rho and ECM all leave: no other argv writes one.
+They are copied into the file so that this test does not depend on the
 benchmark's generators.
 
 The file pins two records that are wrong today: `bisquare --n` on psi_12 and
@@ -44,7 +46,7 @@ def _digest(argv: list[str]) -> dict:
 
 def test_cli_output_matches_golden_digests():
     golden = json.loads(GOLDEN.read_text())
-    assert len(golden) == 157
+    assert len(golden) == 158
     changed = [want["argv"] for want in golden if _digest(want["argv"]) != want]
     assert changed == []
 
