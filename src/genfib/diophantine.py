@@ -4,8 +4,12 @@ The equation's solutions are generated by four two-parameter families and
 checked for completeness against exhaustive enumeration. F3 and F4 come from
 one formula in (s, t) = (5l^2, m^2) or (l^2, 5m^2); F1 and F2 are F3 and F4
 divided by 4, which is exact for odd l and m, since then s - t and 2(s + t)
-are 4 mod 8. The two-square (bisquare) machinery classifies values via
-factorization, with a direct search as the independent second route.
+are 4 mod 8. The exhaustive enumeration reads the equation as
+(z - 2y)(z + 2y) = 5x^2: each solution with x > 0 is one factor pair p < q
+of 5x^2 with p = q (mod 4), so walking x and the divisors of 5x^2 lists
+every solution once, with no search over z. The two-square (bisquare)
+machinery classifies values via factorization, with a direct search as the
+independent second route.
 """
 
 from __future__ import annotations
@@ -16,11 +20,12 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import count, product
 from math import gcd, isqrt
+from operator import itemgetter
 
 from .core import SequenceParams, g_prefix
 from .errors import DomainError, HypothesisViolationError
 from .identities import invariant_quantity
-from .divisors import Factorization, factorize
+from .divisors import Factorization, _small_primes, factorize
 
 
 class Family(enum.Enum):
@@ -81,19 +86,50 @@ def is_solution(x: int, y: int, z: int) -> bool:
 
 
 def brute_force_solutions(z_max: int) -> list[tuple[int, int, int]]:
-    """All (x, y, z) with x, y >= 0, 1 <= z <= z_max, sorted by (z, x, y)."""
+    """All (x, y, z) with x, y >= 0, 1 <= z <= z_max, sorted by (z, x, y).
+
+    Enumerated by the factor pairs of 5x^2: a solution is
+    (z - 2y)(z + 2y) = 5x^2. For x = 0 that is (0, z/2, z) with z even. For
+    x > 0 put p = z - 2y and q = z + 2y: then pq = 5x^2, p < q (y = 0 would
+    make z^2 = 5x^2) and q - p = 4y. Conversely, every p < q with pq = 5x^2
+    and p = q (mod 4) gives the solution z = (p + q)/2, y = (q - p)/4. So
+    the solutions with x > 0 are in one-to-one correspondence with those
+    pairs, and walking x up to sqrt(z_max^2 / 5), every divisor p of 5x^2
+    below its square root, and keeping p + q <= 2 z_max lists each exactly
+    once.
+    """
     if z_max < 0:
         raise DomainError("z_max must be non-negative")
-    out: list[tuple[int, int, int]] = []
-    for z in range(1, z_max + 1):
-        zz = z * z
-        # z^2 - 5x^2 = z^2 - x^2 (mod 4), which is 0 exactly when x = z (mod 2)
-        for x in range(z & 1, isqrt(zz // 5) + 1, 2):
-            yy = (zz - 5 * x * x) // 4
-            y = isqrt(yy)
-            if y * y == yy:
-                out.append((x, y, z))
+    out = [(0, z // 2, z) for z in range(2, z_max + 1, 2)]
+    x_max = isqrt(z_max * z_max // 5)
+    factor = _prime_factor_table(x_max)
+    for x in range(1, x_max + 1):
+        exps = {5: 1}
+        rest = x
+        while rest > 1:
+            r = factor[rest] or rest
+            rest //= r
+            exps[r] = exps.get(r, 0) + 2
+        # the divisors of 5x^2, left unsorted (unlike Factorization.divisors,
+        # whose sort would double the walk): `out` is sorted once at the end
+        divs = [1]
+        for r, e in exps.items():
+            divs = [d * r**k for d in divs for k in range(e + 1)]
+        n = 5 * x * x
+        for p in divs:
+            q = n // p
+            if p < q and p + q <= 2 * z_max and (q - p) % 4 == 0:
+                out.append((x, (q - p) // 4, (p + q) // 2))
+    out.sort(key=itemgetter(2, 0))
     return out
+
+
+def _prime_factor_table(limit: int) -> list[int]:
+    """For 0 <= k <= limit, a prime factor of k at most its square root, or 0 when k has none."""
+    factor = [0] * (limit + 1)
+    for r in _small_primes(isqrt(limit) + 1):
+        factor[r * r :: r] = [r] * len(range(r * r, limit + 1, r))
+    return factor
 
 
 @dataclass(frozen=True)
@@ -114,10 +150,15 @@ def _family_triples(z_max: int, param_bound: int) -> set[tuple[int, int, int]]:
     # param_bound caps the smaller parameter; the larger one is capped by the
     # feasibility limit isqrt(2*z_max) implied by z <= z_max, so enumeration
     # covers the target range whenever param_bound >= isqrt(z_max / 3).
+    # F1 and F2 have the least z at given l, m, (5l^2 + m^2)/2 and
+    # (l^2 + 5m^2)/2, and both grow with m, so the m walk stops at the first
+    # m where both pass z_max.
     cap = isqrt(2 * z_max) + 1
     out: set[tuple[int, int, int]] = set()
     for l in range(1, cap + 1):
         for m in range(1, cap + 1):
+            if min(5 * l * l + m * m, l * l + 5 * m * m) > 2 * z_max:
+                break
             if min(l, m) > param_bound:
                 continue
             for fam in families_for(l, m):
@@ -137,6 +178,8 @@ def completeness_report(z_max: int, param_bound: int) -> CompletenessReport:
     x = 0 line (0, y, 2y) cannot arise from nonzero family parameters and is
     accounted separately as degenerate.
     """
+    if param_bound < 0:
+        raise DomainError("param_bound must be non-negative")
     brute = brute_force_solutions(z_max)
     fam = _family_triples(z_max, param_bound)
     matched = degenerate = 0

@@ -30,10 +30,13 @@ stages in turn:
 The form of the primitive primes only keys the search: a cofactor is called
 prime by `is_prime` alone, and every factor is divided out of F_n itself.
 
-Both routes end in one tail: Brent rho over RHO_BUDGET = 10^6 steps, seeded
-from n for `factorize` and from the composite left after p-1/p+1 for F_n,
-then at most ECM_CURVES = 60 curves of ECM over the p-1/p+1 stage tables. A
-composite that both leave is stuck: RhoBudgetError names it and the whole.
+Both routes end in one tail: one Fermat step on 4kc for each of Lehman's
+multipliers k = 1..12, which splits a product of two primes whose ratio is
+near u/v with uv = k (twin primes, and p(2p - 1) such as psi_12 and psi_13),
+then Brent rho over RHO_BUDGET = 10^6 steps, seeded from n for `factorize`
+and from the composite left after p-1/p+1 for F_n, then at most
+ECM_CURVES = 60 curves of ECM over the p-1/p+1 stage tables. A composite
+that all three leave is stuck: RhoBudgetError names it and the whole.
 
 Everything downstream (tau, ranks of apparition, primitive prime divisors,
 tau lower bounds) builds on that.
@@ -356,10 +359,10 @@ def _divide_out(m: int, p: int, counts: dict[int, int]) -> int:
 def _split(m: int, counts: dict[int, int], divisor) -> int:
     """Split m > 1 into pieces by divisor(c), a proper divisor of the composite c or None.
 
-    This is the one loop that splits composites: p-1/p+1, rho and ECM each
-    supply a divisor. A piece is recorded in counts only when is_prime
-    accepts it; the product of the composite pieces left unsplit is returned
-    (1 if none), for the next stage.
+    This is the one loop that splits composites: p-1/p+1, the Fermat step
+    with rho, and ECM each supply a divisor. A piece is recorded in counts
+    only when is_prime accepts it; the product of the composite pieces left
+    unsplit is returned (1 if none), for the next stage.
     """
     rest = 1
     stack = [m]
@@ -375,16 +378,20 @@ def _split(m: int, counts: dict[int, int], divisor) -> int:
 
 
 def _tail(m: int, counts: dict[int, int], seed: int, steps: int, curves: int) -> int:
-    """Split m > 1 by rho, then what rho leaves by ECM; returns the part of m left unsplit.
+    """Split m > 1 by a Fermat step and rho, then by ECM; returns the part of m left unsplit.
 
-    Rho retries a composite until a walk splits it or `steps` steps are spent,
-    drawing from one generator seeded from `seed` and made on first use, as
-    seeding costs more than a prime m; then ECM takes at most `curves` curves.
+    Each composite gets one Fermat step per multiplier (`_fermat_divisor`)
+    first. Rho then retries it until a walk splits it or `steps` steps are
+    spent, drawing from one generator seeded from `seed` and made on first
+    use, as seeding costs more than a prime m; a composite that the Fermat
+    step splits makes none. Then ECM takes at most `curves` curves.
     """
     rng = None
 
-    def rho(c: int) -> int | None:
+    def fermat_rho(c: int) -> int | None:
         nonlocal steps, rng
+        if g := _fermat_divisor(c):
+            return g
         rng = rng or random.Random(seed)
         while steps > 0:
             g, used = _brent_rho(c, rng, steps)
@@ -393,8 +400,30 @@ def _tail(m: int, counts: dict[int, int], seed: int, steps: int, curves: int) ->
                 return g
         return None
 
-    m = _split(m, counts, rho)
+    m = _split(m, counts, fermat_rho)
     return _ecm_split(m, counts, curves) if m > 1 else m
+
+
+# Lehman's multipliers: one Fermat step on 4kc for each k splits c = pq when
+# p/q is close enough to a ratio u/v with uv = k
+_FERMAT_MULTIPLIERS = range(1, 13)
+
+
+def _fermat_divisor(c: int) -> int | None:
+    """A proper divisor of c from one Fermat step on 4kc for each multiplier k, or None.
+
+    a = ceil(sqrt(4kc)); when a^2 - 4kc = b^2, (a - b)(a + b) = 4kc and
+    gcd(a - b, c) is tried. One step splits the twin-prime products and
+    the p(2p - 1) products, since 8p(2p - 1) = (4p - 1)^2 - 1.
+    """
+    for k in _FERMAT_MULTIPLIERS:
+        n = 4 * k * c
+        a = isqrt(n - 1) + 1
+        b2 = a * a - n
+        b = isqrt(b2)
+        if b * b == b2 and 1 < (g := gcd(a - b, c)) < c:
+            return g
+    return None
 
 
 def _pm1_divisor(c: int, n: int, d: int) -> int | None:

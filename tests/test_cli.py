@@ -185,6 +185,13 @@ def test_dioph_complete_violated_exit():
     assert rec["status"] == "violated" and rec["unmatched"] == [[21, 1, 47]]
 
 
+def test_dioph_complete_refuses_negative_bound():
+    # a negative parameter bound is a usage error, not a gap in the families
+    proc = run_cli("dioph", "complete", "--z-max", "50", "--lm-max", "-1")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: param_bound must be non-negative\n"
+
+
 def test_bisquare_single():
     proc = run_cli("bisquare", "--n", "45")
     assert proc.returncode == 0

@@ -107,6 +107,40 @@ def test_brute_force_oracle():
     assert brute_force_solutions(150) == naive
 
 
+def _oracle_by_y(z_max):
+    # an O(z_max^2) loop over (z, y), independent of the factor-pair walk,
+    # sorted into (z, x, y) order
+    out = []
+    for z in range(1, z_max + 1):
+        for y in range(z // 2 + 1):
+            xx, r = divmod(z * z - 4 * y * y, 5)
+            x = isqrt(xx)
+            if r == 0 and x * x == xx:
+                out.append((x, y, z))
+    return sorted(out, key=lambda s: (s[2], s[0], s[1]))
+
+
+@pytest.mark.parametrize("z_max", [*range(61), 997, 1000, 1960, 2050])
+def test_brute_force_matches_loop_over_y(z_max):
+    assert brute_force_solutions(z_max) == _oracle_by_y(z_max)
+
+
+def test_family_walk_reaches_every_solution():
+    # the m walk in the family enumeration stops early; at the parameter
+    # bound isqrt(z_max / 3) every solution is still matched
+    for z_max in range(1, 301):
+        rep = completeness_report(z_max, isqrt(z_max // 3))
+        assert rep.complete, z_max
+        assert rep.total == len(_oracle_by_y(z_max)), z_max
+
+
+def test_completeness_refuses_negative_bounds():
+    with pytest.raises(DomainError):
+        completeness_report(50, -1)
+    with pytest.raises(DomainError):
+        completeness_report(-1, 5)
+
+
 def test_completeness():
     rep = completeness_report(200, 21)
     assert rep.complete

@@ -64,7 +64,7 @@ def test_factorize_frozen():
 
 
 def test_factorize_semiprime_beyond_trial_range():
-    # both factors exceed the trial-division bound, forcing the rho stage
+    # both factors exceed the trial-division bound, forcing the tail
     n = (10**9 + 7) * (10**9 + 9)
     assert factorize(n).factors == ((10**9 + 7, 1), (10**9 + 9, 1))
 
@@ -74,10 +74,17 @@ def test_factorize_deterministic():
     assert factorize(n).factors == factorize(n).factors == ((274177, 1), (67280421310721, 1))
 
 
+# two 10-digit primes whose product the tail's Fermat step leaves whole, so
+# that it reaches rho; (10^9 + 7)(10^9 + 9) splits at the first multiplier
+RHO_PAIR = (10**9 + 7, 1700000009)
+
+
 def test_rho_budget_is_enforced(monkeypatch):
     # 10 rho steps and no ECM curve leave the cofactor whole; the error names
     # the number factored and the composite left
-    pq = (10**9 + 7) * (10**9 + 9)
+    p, q = RHO_PAIR
+    pq = p * q
+    assert sympy.isprime(p) and sympy.isprime(q) and divisors._fermat_divisor(pq) is None
     monkeypatch.setattr(divisors, "RHO_BUDGET", 10)
     monkeypatch.setattr(divisors, "ECM_CURVES", 0)
     with pytest.raises(divisors.RhoBudgetError) as info:
@@ -85,7 +92,7 @@ def test_rho_budget_is_enforced(monkeypatch):
     assert str(info.value) == f"rho budget exhausted factoring {6 * pq} (stuck on {pq})"
     # ECM splits what the 10 rho steps leave
     monkeypatch.setattr(divisors, "ECM_CURVES", 60)
-    assert factorize(6 * pq).factors == ((2, 1), (3, 1), (10**9 + 7, 1), (10**9 + 9, 1))
+    assert factorize(6 * pq).factors == ((2, 1), (3, 1), (p, 1), (q, 1))
 
 
 def _sympy_factors(n):
@@ -149,7 +156,9 @@ def _count_rho_walks(monkeypatch):
 def test_default_budget_failure_is_memoised(monkeypatch):
     # the second call raises the cached error again without factoring anew
     calls = _count_rho_walks(monkeypatch)
-    n = (10**9 + 7) * (10**9 + 9)
+    p, q = RHO_PAIR
+    n = p * q
+    assert divisors._fermat_divisor(n) is None
     divisors._factorize_memo.cache_clear()
     messages = []
     with monkeypatch.context() as patch:
@@ -162,16 +171,33 @@ def test_default_budget_failure_is_memoised(monkeypatch):
     assert messages == [f"rho budget exhausted factoring {n} (stuck on {n})"] * 2
     assert len(calls) == 1
     # an entry made under other budgets is not read under the defaults
-    assert factorize(n).factors == ((10**9 + 7, 1), (10**9 + 9, 1))
+    assert factorize(n).factors == ((p, 1), (q, 1))
 
 
 def test_tail_ecm_splits_what_rho_leaves():
-    # two 14-digit primes: rho's RHO_BUDGET steps alone leave their product
-    # whole, and the ECM curves that follow split it
-    p, q = 10000000000037, 30000000000011
-    assert sympy.isprime(p) and sympy.isprime(q)
+    # two 14-digit primes: the Fermat step and rho's RHO_BUDGET steps alone
+    # leave their product whole, and the ECM curves that follow split it
+    p, q = 10000000000037, 30010000000021
+    assert sympy.isprime(p) and sympy.isprime(q) and divisors._fermat_divisor(p * q) is None
     assert divisors._tail(p * q, {}, p * q, divisors.RHO_BUDGET, 0) == p * q
     assert factorize(p * q).factors == _sympy_factors(p * q)
+
+
+def test_fermat_step_splits_without_rho(monkeypatch):
+    # twin primes split at k = 1, 10000000000037 * 30000000000011 at k = 3,
+    # and the p(2p - 1) products of the bisquare corpus at k = 2, since
+    # 8p(2p - 1) = (4p - 1)^2 - 1; none of them reaches rho
+    calls = _count_rho_walks(monkeypatch)
+    divisors._factorize_memo.cache_clear()
+    for n in [(10**9 + 7) * (10**9 + 9), 10000000000037 * 30000000000011,
+              207132481, 200007550071253, 2000000827000085491]:
+        assert factorize(n).factors == _sympy_factors(n)
+    assert calls == []
+    # psi_12 and psi_13 are p(2p - 1) too: the step splits them, though
+    # is_prime passes them
+    for p, q in [(399165290221, 798330580441), (1287836182261, 2575672364521)]:
+        assert q == 2 * p - 1
+        assert divisors._fermat_divisor(p * q) in (p, q)
 
 
 @given(st.integers(1, 10**9))

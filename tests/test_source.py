@@ -1,6 +1,7 @@
 """Properties of the package source itself."""
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -93,3 +94,34 @@ def test_every_module_constant_is_read():
                 read.add(node.attr)
     assert defined
     assert sorted(loc for name, loc in defined.items() if name not in read) == []
+
+
+def test_benchmark_tracer_wraps_its_names(capsys):
+    # perfbench/tracer.py wraps package functions by name and counts a rank
+    # that does not exist at the `limit` default of rank_of_apparition; a
+    # renamed name or a dropped default must fail here, not only as a
+    # benchmark round
+    import genfib
+    from genfib import cli
+
+    path = SRC.parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    traced = tracer.Tracer()
+    traced.install()
+    try:
+        codes = [cli.run(["dioph", "oracle", "--z-max=30"]),
+                 cli.run(["bisquare", "--n=2000000827000085491"])]
+        # 3 | b but not a: no F_n is divisible by 3
+        assert genfib.rank_of_apparition(1, 3, 3) is None
+    finally:
+        traced.uninstall()
+    traced.check_clean()
+    capsys.readouterr()
+    assert codes == [0, 0]
+    assert traced.calls["cli.run"] == 2
+    assert traced.calls["diophantine.brute_force_solutions"] == 1
+    assert traced.calls["divisors.factorize"] >= 1
+    assert traced.calls["diophantine.is_bisquare"] == 1
+    assert traced.snapshot(0, 0)["divisors.rank_of_apparition.steps"] > 0
