@@ -1,9 +1,13 @@
 """Command-line front end: one JSON record per line, deterministic order.
 
-Records carry a kind tag, an echo of the inputs, the result payload, and a
-status among ok / violated / skipped. Exit code 0 when every record is ok,
-1 when any check is violated, 2 on usage errors (including a DomainError or
-HypothesisViolationError from the package), 3 when a resource limit was hit.
+Each command is a generator of records: dicts that carry a kind tag, an echo
+of the inputs, the result payload, and a status among ok / violated /
+skipped. `run` is the one writer: it writes each record as soon as it is
+yielded, so the records before an error stay on stdout. Exit code 0 when
+every record is ok, 1 when any check is violated, otherwise 3 when any index
+was skipped; 2 on usage errors (including a DomainError or
+HypothesisViolationError from the package), 3 when a resource limit stopped
+the command.
 """
 
 from __future__ import annotations
@@ -38,41 +42,15 @@ VIOLATED = "violated"
 SKIPPED = "skipped"
 
 
-class _Run:
-    """Accumulates record statuses while streaming them out."""
+def _rec(kind: str, ok: bool = True, **fields) -> dict:
+    """One record, `ok` or `violated` by ok; a `status` among the fields overrides that."""
+    return {"kind": kind, "status": OK if ok else VIOLATED, **fields}
 
-    def __init__(self, stream):
-        self.stream = stream
-        self.violated = False
-        self.skipped = False
 
-    def emit(self, kind: str, status: str = OK, **payload) -> None:
-        rec = {"kind": kind, "status": status}
-        rec.update(payload)
-        try:
-            line = json.dumps(rec, sort_keys=True, separators=(",", ":"))
-        except ValueError:
-            # an int past the interpreter's int -> str digit limit: lift the
-            # limit for this record only
-            limit = sys.get_int_max_str_digits()
-            sys.set_int_max_str_digits(0)
-            try:
-                line = json.dumps(rec, sort_keys=True, separators=(",", ":"))
-            finally:
-                sys.set_int_max_str_digits(limit)
-        self.stream.write(line + "\n")
-        if status == VIOLATED:
-            self.violated = True
-        elif status == SKIPPED:
-            self.skipped = True
-
-    @property
-    def exit_code(self) -> int:
-        if self.violated:
-            return 1
-        if self.skipped:
-            return 3
-        return 0
+def _seed(args) -> tuple[SequenceParams, dict]:
+    """The sequence that --u --v --a --b give, and the echo of those flags for its records."""
+    echo = {"u": args.u, "v": args.v, "a": args.a, "b": args.b}
+    return SequenceParams(**echo), echo
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -88,12 +66,8 @@ def _parse_range(text: str) -> tuple[int, int]:
     return bounds
 
 
-def _echo(p: SequenceParams) -> dict:
-    return {"u": p.u, "v": p.v, "a": p.a, "b": p.b}
-
-
-def _cmd_compute(args, run: _Run) -> None:
-    p = SequenceParams(args.u, args.v, args.a, args.b)
+def _cmd_compute(args):
+    p, echo = _seed(args)
     check_digit_cap(p, args.n)
     if args.method == "iter":
         value = g_iter(p, args.n)
@@ -103,65 +77,41 @@ def _cmd_compute(args, run: _Run) -> None:
         value = binet_repeated_root(p, args.n)
     else:
         value = binet_eval(p, args.n)
-    run.emit("compute", method=args.method, n=args.n, value=value, **_echo(p))
+    yield _rec("compute", method=args.method, n=args.n, value=value, **echo)
 
 
-def _cmd_identity_addition(args, run: _Run) -> None:
-    p = SequenceParams(args.u, args.v, args.a, args.b)
+def _cmd_identity_addition(args):
+    p, echo = _seed(args)
     max_m = args.max_m if args.max_m is not None else args.max_n
     for m in range(max_m + 1):
         for n in range(args.max_n + 1):
             lhs, rhs = addition_sides(p, m, n)
-            run.emit(
-                "identity",
-                name="addition",
-                m=m,
-                n=n,
-                lhs=lhs,
-                rhs=rhs,
-                status=OK if lhs == rhs else VIOLATED,
-                **_echo(p),
-            )
+            yield _rec("identity", lhs == rhs, name="addition", m=m, n=n, lhs=lhs, rhs=rhs, **echo)
 
 
-def _cmd_identity_determinant(args, run: _Run) -> None:
-    p = SequenceParams(args.u, args.v, args.a, args.b)
+def _cmd_identity_determinant(args):
+    p, echo = _seed(args)
     for n in range(args.max_n + 1):
         lhs, rhs = determinant_sides(p, n)
-        run.emit(
-            "identity",
-            name="determinant",
-            n=n,
-            lhs=lhs,
-            rhs=rhs,
-            status=OK if lhs == rhs else VIOLATED,
-            **_echo(p),
-        )
+        yield _rec("identity", lhs == rhs, name="determinant", n=n, lhs=lhs, rhs=rhs, **echo)
 
 
-def _cmd_scan_divisible(args, run: _Run) -> None:
-    survivors = scan_divisible(
-        args.u_range, args.v_range, args.a_range, args.b_range, args.bound
-    )
+def _cmd_scan_divisible(args):
+    survivors = scan_divisible(args.u_range, args.v_range, args.a_range, args.b_range, args.bound)
     for p, rep in survivors:
-        run.emit("divisible-survivor", bound=rep.bound, **_echo(p))
-    run.emit("scan-summary", scan="divisible", survivors=len(survivors), bound=args.bound)
+        yield _rec("divisible-survivor", bound=rep.bound, u=p.u, v=p.v, a=p.a, b=p.b)
+    yield _rec("scan-summary", scan="divisible", survivors=len(survivors), bound=args.bound)
 
 
-def _cmd_gcd_identity(args, run: _Run) -> None:
+def _cmd_gcd_identity(args):
     checked, witness = gcd_identity_grid(args.a, args.b, args.max)
-    run.emit(
-        "gcd-identity",
-        a=args.a,
-        b=args.b,
-        max=args.max,
-        checked=checked,
-        witness=witness,
-        status=VIOLATED if witness else OK,
-    )
+    yield _rec("gcd-identity", not witness, a=args.a, b=args.b, max=args.max,
+               checked=checked, witness=witness)
 
 
-def _cmd_dioph_families(args, run: _Run) -> None:
+def _cmd_dioph_families(args):
+    if min(args.k_max, args.lm_max) < 0:
+        raise DomainError("k_max and lm_max must be non-negative")
     lm = range(1, args.lm_max + 1)
     params = [(l, m, families_for(l, m)) for l in lm for m in lm]
     for fam in Family:
@@ -169,83 +119,69 @@ def _cmd_dioph_families(args, run: _Run) -> None:
             for l, m, fams in params:
                 if fam in fams:
                     sol = family_solution(fam, k, l, m)
-                    run.emit(
-                        "dioph-solution",
-                        family=fam.value,
-                        k=k,
-                        l=l,
-                        m=m,
-                        x=sol.x,
-                        y=sol.y,
-                        z=sol.z,
-                        status=OK if is_solution(sol.x, sol.y, sol.z) else VIOLATED,
-                    )
+                    yield _rec("dioph-solution", is_solution(sol.x, sol.y, sol.z),
+                               family=fam.value, k=k, l=l, m=m, x=sol.x, y=sol.y, z=sol.z)
 
 
-def _cmd_dioph_oracle(args, run: _Run) -> None:
+def _cmd_dioph_oracle(args):
     sols = brute_force_solutions(args.z_max)
     for x, y, z in sols:
-        run.emit("dioph-triple", x=x, y=y, z=z)
-    run.emit("scan-summary", scan="dioph-oracle", solutions=len(sols), z_max=args.z_max)
+        yield _rec("dioph-triple", x=x, y=y, z=z)
+    yield _rec("scan-summary", scan="dioph-oracle", solutions=len(sols), z_max=args.z_max)
 
 
-def _cmd_dioph_complete(args, run: _Run) -> None:
+def _cmd_dioph_complete(args):
     rep = completeness_report(args.z_max, args.lm_max)
-    run.emit("dioph-complete", status=OK if rep.complete else VIOLATED, **asdict(rep))
+    yield _rec("dioph-complete", rep.complete, **asdict(rep))
 
 
-def _cmd_bisquare(args, run: _Run) -> None:
+def _cmd_bisquare(args):
     if (args.n is None) == (args.mode is None):
         raise DomainError("bisquare takes exactly one of --n and scan")
     if args.mode == "scan":
         pairs = _square_pairs_grid(args.u_max, args.v_max, args.a, args.b)
         for u, v, t in pairs:
-            run.emit("square-invariant-pair", u=u, v=v, t=t, a=args.a, b=args.b)
-        run.emit("scan-summary", scan="square-invariant", pairs=len(pairs))
+            yield _rec("square-invariant-pair", u=u, v=v, t=t, a=args.a, b=args.b)
+        yield _rec("scan-summary", scan="square-invariant", pairs=len(pairs))
     else:
         dec = two_square_decomposition(args.n)
         classified = is_bisquare(args.n)
         # the factorization route and the search route must agree
-        run.emit(
-            "bisquare",
-            n=args.n,
-            bisquare=classified,
-            decomposition=dec,
-            status=OK if classified == (dec is not None) else VIOLATED,
-        )
+        yield _rec("bisquare", classified == (dec is not None), n=args.n,
+                   bisquare=classified, decomposition=dec)
 
 
-def _cmd_alt_bisquable(args, run: _Run) -> None:
-    p = SequenceParams(args.u, args.v, args.a, args.b)
+def _cmd_alt_bisquable(args):
+    p, echo = _seed(args)
     for w in alternating_witnesses(p, args.k_max, args.parity):
-        status = OK if w.decomposition is not None else VIOLATED
-        run.emit("alt-bisquable", parity=args.parity, status=status, **asdict(w), **_echo(p))
+        yield _rec("alt-bisquable", w.decomposition is not None, parity=args.parity,
+                   **asdict(w), **echo)
 
 
-def _cmd_each_index(first: int, fields, args, run: _Run) -> None:
-    """One record per n from `first` to --n-max; an index past a resource limit is skipped."""
+def _cmd_each_index(first: int, fields, args):
+    """One record per n from `first` to --n-max; an index past a resource limit is skipped.
+
+    fields(a, b, n) gives (ok, payload) for one index.
+    """
     for n in range(first, args.n_max + 1):
+        echo = {"n": n, "a": args.a, "b": args.b}
         try:
-            payload = fields(args.a, args.b, n)
+            ok, payload = fields(args.a, args.b, n)
         except ResourceLimitError as exc:
-            run.emit(args.command, n=n, a=args.a, b=args.b, reason=str(exc), status=SKIPPED)
-            continue
-        run.emit(args.command, n=n, a=args.a, b=args.b, **payload)
+            yield _rec(args.command, status=SKIPPED, reason=str(exc), **echo)
+        else:
+            yield _rec(args.command, ok, **payload, **echo)
 
 
-def _tau_bounds_fields(a: int, b: int, n: int) -> dict:
+def _tau_bounds_fields(a: int, b: int, n: int) -> tuple[bool, dict]:
     tb = check_tau_bounds(a, b, n)
-    return {
-        "tau_fn": tb.tau_fn,
-        "tau_n": tb.tau_n,
-        "omega_n": tb.omega_n,
-        "status": OK if tb.omega_bound_ok and tb.tau_bound_ok else VIOLATED,
-    }
+    ok = tb.omega_bound_ok and tb.tau_bound_ok
+    return ok, {"tau_fn": tb.tau_fn, "tau_n": tb.tau_n, "omega_n": tb.omega_n}
 
 
-def _primitive_fields(a: int, b: int, n: int) -> dict:
+def _primitive_fields(a: int, b: int, n: int) -> tuple[bool, dict]:
     rep = primitive_divisors(a, b, n)
-    return {"primes": rep.primitive_primes, "has_primitive": rep.has_primitive}
+    return True, {"primes": rep.primitive_primes, "has_primitive": rep.has_primitive}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -346,22 +282,44 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_dumps = partial(json.dumps, sort_keys=True, separators=(",", ":"))
+
+
+def _line(rec: dict) -> str:
+    """rec as one line of JSON."""
+    try:
+        return _dumps(rec) + "\n"
+    except ValueError:
+        # an int past the interpreter's int -> str digit limit: lift the
+        # limit for this record only
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return _dumps(rec) + "\n"
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+
 def run(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
-    runner = _Run(sys.stdout)
+    statuses = set()
     try:
-        args.func(args, runner)
+        for rec in args.func(args):
+            sys.stdout.write(_line(rec))
+            statuses.add(rec["status"])
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
     except (DomainError, HypothesisViolationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return runner.exit_code
+    if VIOLATED in statuses:
+        return 1
+    return 3 if SKIPPED in statuses else 0
 
 
 def main() -> None:

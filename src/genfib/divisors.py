@@ -2,10 +2,11 @@
 
 `factorize` is the generic route: trial division by the primes below 1000,
 then the tail on whatever composite remains. Its results, and its budget
-failures, are memoised. Primality is Miller-Rabin with the twelve prime bases
-up to 37. That is a strong pseudoprime screen, not a proof:
-psi_12 = 318665857834031151167461 is composite and passes every base. A BPSW
-test is pending.
+failures, are memoised. Primality is the Baillie-PSW test: a strong test to
+base 2, then an almost-extra-strong Lucas test on the V-ladder that p+1
+already walks. No composite is known to pass it. The strong pseudoprimes to
+the twelve bases up to 37, such as psi_12 = 318665857834031151167461, fail
+its Lucas half.
 
 F_n is factored through its divisibility structure. A prime of gcd(a, b)
 divides every F_m from m = 2 on, and a prime of b alone divides none. For
@@ -67,8 +68,6 @@ STAGE1_BOUND = 3000
 STAGE2_BOUND = 200_000
 ECM_CURVES = 60
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
 
 def _small_primes(limit: int) -> tuple[int, ...]:
     """The primes below limit, by a sieve over the odd numbers."""
@@ -92,10 +91,17 @@ _TRIAL_SQUARE = 1009 * 1009
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin with the fixed 12-base witness set, after a screen by the primes below 1000.
+    """The Baillie-PSW test, after a screen by the primes below 1000.
 
     The screen is one gcd with their product; a number below 1009^2 that
-    passes it is prime without further test.
+    passes it is prime without further test. Otherwise n must pass a strong
+    test to base 2 and then the almost-extra-strong Lucas test with Q = 1:
+    with P the least P >= 3 whose Jacobi symbol (P^2 - 4 / n) is -1 and
+    n + 1 = d 2^s, n passes if V_d = +-2 or V_(d 2^r) = 0 for some r < s - 1,
+    V = V(P, 1) mod n. A square n has no such P and is refused first.
+    Baillie & Wagstaff, "Lucas pseudoprimes", Math. Comp. 35 (1980); the
+    almost-extra-strong variant is in Baillie, Fiori & Wagstaff, Math.
+    Comp. 90 (2021).
     """
     if n < 2:
         return False
@@ -105,19 +111,49 @@ def is_prime(n: int) -> bool:
     if n < _TRIAL_SQUARE:
         return True
     d = n - 1
-    s = ((d & -d)).bit_length() - 1
-    d >>= s
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
+    s = (d & -d).bit_length() - 1
+    x = pow(2, d >> s, n)
+    if x != 1 and x != n - 1:
         for _ in range(s - 1):
             x = x * x % n
             if x == n - 1:
                 break
         else:
             return False
-    return True
+    if isqrt(n) ** 2 == n:
+        return False
+    p = 3
+    while (j := _jacobi(p * p - 4, n)) == 1:
+        p += 1
+    if j == 0:
+        # a prime of n divides (P - 2)(P + 2) < n
+        return False
+    d = n + 1
+    s = (d & -d).bit_length() - 1
+    v = _lucas_v(p, d >> s, n)
+    if v == 2 or v == n - 2:
+        return True
+    for _ in range(s - 1):
+        if v == 0:
+            return True
+        v = (v * v - 2) % n
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a / n) for odd n > 0, by quadratic reciprocity."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
 
 
 def _brent_rho(n: int, rng: random.Random, max_steps: int) -> tuple[int | None, int]:
@@ -638,11 +674,11 @@ def _ecm_stage2(pt: tuple[int, int], a24: int, k0: int, blocks, c: int) -> int |
 
     For a prime q = kw +- j of stage 2 (w = _GIANT_STEP), [q]Q is the point
     at infinity mod p exactly when [kw]Q = -+[j]Q mod p, that is when their
-    x-coordinates agree: p | X_kw - x_j Z_kw, with the baby x_j = X_j / Z_j
-    made affine by one batch inversion. The giant steps walk [kw]Q by
-    differential additions of [w]Q. The terms go into one product per block
-    of giant steps; a block whose gcd is c is replayed one term at a time,
-    and a term that is 0 mod c is passed over.
+    x-coordinates agree. The comparison is projective, with no inversion:
+    p | X_kw Z_j - X_j Z_kw. The giant steps walk [kw]Q by differential
+    additions of [w]Q. The terms go into one product per block of giant
+    steps; a block whose gcd is c is replayed one term at a time, and a term
+    that is 0 mod c is passed over.
     """
     # the walk starts from [(k0 - 1)w]Q, which must not be the point at
     # infinity; the default bounds give k0 = 14
@@ -650,25 +686,9 @@ def _ecm_stage2(pt: tuple[int, int], a24: int, k0: int, blocks, c: int) -> int |
         return None
     w = _GIANT_STEP
     twice = _ecm_double(*pt, c, a24)
-    babies = {1: pt, 3: _ecm_add(twice, pt, pt, c)}
+    baby = {1: pt, 3: _ecm_add(twice, pt, pt, c)}
     for j in range(5, w // 2, 2):
-        babies[j] = _ecm_add(babies[j - 2], twice, babies[j - 4], c)
-    js = [j for j in babies if gcd(j, w) == 1]
-    # batch inversion: invert the product of the Z_j once, then peel it off
-    before = []
-    total = 1
-    for j in js:
-        before.append(total)
-        total = total * babies[j][1] % c
-    g = gcd(total, c)
-    if g > 1:
-        return next((h for j in js if 1 < (h := gcd(babies[j][1], c)) < c), None)
-    inv = pow(total, -1, c)
-    baby = {}
-    for j, b in zip(reversed(js), reversed(before)):
-        x, z = babies[j]
-        baby[j] = x * inv * b % c
-        inv = inv * z % c
+        baby[j] = _ecm_add(baby[j - 2], twice, baby[j - 4], c)
     giant = _ecm_mul(pt, w, c, a24)
     prev, cur = _ecm_mul(giant, k0 - 1, c, a24), _ecm_mul(giant, k0, c, a24)
     for block in blocks:
@@ -679,10 +699,12 @@ def _ecm_stage2(pt: tuple[int, int], a24: int, k0: int, blocks, c: int) -> int |
         acc = 1
         for (x, z), offsets in zip(walk, block):
             for j in offsets:
-                acc = acc * (x - baby[j] * z) % c
+                bx, bz = baby[j]
+                acc = acc * (x * bz - bx * z) % c
         g = gcd(acc, c)
         if g == c:
-            terms = (x - baby[j] * z for (x, z), offsets in zip(walk, block) for j in offsets)
+            terms = (x * baby[j][1] - baby[j][0] * z for (x, z), offsets in zip(walk, block)
+                     for j in offsets)
             g = next((h for t in terms if 1 < (h := gcd(t, c)) < c), 1)
         if g > 1:
             return g

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from genfib import SequenceParams, cli, divisibility, g_iter
+from genfib import ResourceLimitError, SequenceParams, TauBounds, cli, divisibility, g_iter
 from genfib.core import check_digit_cap
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -190,6 +190,17 @@ def test_dioph_complete_refuses_negative_bound():
     proc = run_cli("dioph", "complete", "--z-max", "50", "--lm-max", "-1")
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == "error: param_bound must be non-negative\n"
+
+
+def test_dioph_families_refuses_negative_bounds(capsys):
+    # as `dioph complete` and `dioph oracle` do, rather than writing nothing
+    for argv in (["dioph", "families", "--k-max", "2", "--lm-max", "-1"],
+                 ["dioph", "families", "--k-max", "-1", "--lm-max", "3"]):
+        out, err, code = run_in_process(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert err == "error: k_max and lm_max must be non-negative\n"
+    out, err, code = run_in_process(capsys, ["dioph", "families", "--k-max", "0", "--lm-max", "0"])
+    assert (code, out, err) == (0, "", "")
 
 
 def test_bisquare_single():
@@ -373,3 +384,41 @@ def test_every_required_flag_is_enforced(capsys, argv):
     for i in flags:
         out, err, code = run_in_process(capsys, argv[:i] + argv[i + 2:])
         assert (code, out) == (2, ""), argv[i]
+
+
+def test_records_before_a_resource_limit_stay_written(capsys, monkeypatch):
+    # each record is written as it is made: a limit hit at m = 1 leaves the
+    # three records of row m = 0 on stdout
+    addition_sides = cli.addition_sides
+
+    def limited(p, m, n):
+        if m == 1:
+            raise ResourceLimitError("limit at m = 1")
+        return addition_sides(p, m, n)
+
+    monkeypatch.setattr(cli, "addition_sides", limited)
+    out, err, code = run_in_process(capsys, ["identity", "addition", "--u", "0", "--v", "1",
+                                             "--a", "1", "--b", "1", "--max-n", "2"])
+    recs = [json.loads(line) for line in out.splitlines()]
+    assert code == 3 and err == "resource limit: limit at m = 1\n"
+    assert [(r["m"], r["n"], r["status"]) for r in recs] == [(0, 0, "ok"), (0, 1, "ok"), (0, 2, "ok")]
+
+
+def test_violated_index_outranks_skipped_index(capsys, monkeypatch):
+    # exit 1 when any record is violated, even with a skip among them; the
+    # skipped index still gets its record and the command goes on
+    def bounds(a, b, n):
+        if n == 3:
+            return TauBounds(n, 1, 2, 1, False, False)
+        if n == 4:
+            raise ResourceLimitError("stuck at 4")
+        return TauBounds(n, 2, 2, 1, True, True)
+
+    monkeypatch.setattr(cli, "check_tau_bounds", bounds)
+    out, err, code = run_in_process(capsys, ["tau-bounds", "--a", "1", "--b", "1", "--n-max", "5"])
+    recs = [json.loads(line) for line in out.splitlines()]
+    assert (code, err) == (1, "")
+    assert [(r["n"], r["status"]) for r in recs] == [
+        (2, "ok"), (3, "violated"), (4, "skipped"), (5, "ok")]
+    assert recs[2] == {"a": 1, "b": 1, "kind": "tau-bounds", "n": 4, "reason": "stuck at 4",
+                       "status": "skipped"}

@@ -1,5 +1,6 @@
 """Factorization stack and the divisor-count bounds on F_n."""
 
+import random
 from functools import partial
 from math import prod
 
@@ -51,6 +52,37 @@ def test_is_prime_matches_sympy_on_small_numbers():
     assert [is_prime(n) for n in range(2 * 10**5)] == [sympy.isprime(n) for n in range(2 * 10**5)]
     cases = [*small, *(p * q for i, p in enumerate(small) for q in small[i:])]
     assert [is_prime(n) for n in cases] == [sympy.isprime(n) for n in cases]
+
+
+def _chernick(k):
+    return (6 * k + 1) * (12 * k + 1) * (18 * k + 1)
+
+
+def test_is_prime_matches_sympy_on_seeded_corpus():
+    # random odd numbers of 4-80 digits, primes of 6-80 digits, the
+    # Carmichael numbers (6k+1)(12k+1)(18k+1) with all three factors prime,
+    # k < 3000, p(2p - 1) products, and the strong pseudoprimes to the
+    # twelve bases up to 37, psi_12 and psi_13
+    rng = random.Random(20)
+    corpus = [rng.randrange(10 ** (k - 1), 10**k) | 1 for k in range(4, 81) for _ in range(100)]
+    corpus += [sympy.nextprime(rng.randrange(10 ** (k - 1), 10**k)) for k in range(6, 81, 2)]
+    corpus += [_chernick(k) for k in range(1, 3000)
+               if all(map(sympy.isprime, (6 * k + 1, 12 * k + 1, 18 * k + 1)))]
+    corpus += [p * (2 * p - 1) for p in sympy.primerange(1000, 1500) if sympy.isprime(2 * p - 1)]
+    corpus += [318665857834031151167461, 3317044064679887385961981]
+    assert [is_prime(n) for n in corpus] == [sympy.isprime(n) for n in corpus]
+    assert not any(is_prime(n) for n in corpus[-2:])
+
+
+@pytest.mark.parametrize("n", [1009**2, 1013**2 * 1019**2, (10**9 + 7) ** 2, 999983**3])
+def test_is_prime_refuses_squares_and_powers(n):
+    assert not is_prime(n)
+
+
+def test_jacobi_matches_sympy():
+    cases = [(a, n) for n in range(1, 400, 2) for a in range(-50, 50)]
+    assert [divisors._jacobi(a, n) for a, n in cases] == [
+        sympy.jacobi_symbol(a % n, n) for a, n in cases]
 
 
 def test_factorize_frozen():
@@ -120,9 +152,6 @@ def test_factorize_matches_sympy_on_mid_size_primes(powers, small):
     assert factorize(n).factors == _sympy_factors(n)
 
 
-_PSEUDOPRIME = pytest.mark.xfail(
-    strict=True, reason="is_prime passes this composite on all 12 Miller-Rabin bases; see the BPSW item")
-
 # the corpus that the bisquare-mix benchmark feeds through `bisquare --n`:
 # Carmichael numbers, p(2p-1) products, semiprimes with a 7-9 digit factor and
 # the strong pseudoprimes psi_9, psi_12 and psi_13
@@ -131,8 +160,8 @@ HARD_CORPUS = [
     200007550071253, 2000000827000085491, 7689508527283867649654567,
     4798535463618468995659, 277875660197838864654113, 2934766667677383901,
     3825123056546413051,
-    pytest.param(318665857834031151167461, marks=_PSEUDOPRIME, id="psi12"),
-    pytest.param(3317044064679887385961981, marks=_PSEUDOPRIME, id="psi13"),
+    pytest.param(318665857834031151167461, id="psi12"),
+    pytest.param(3317044064679887385961981, id="psi13"),
 ]
 
 
@@ -192,12 +221,12 @@ def test_fermat_step_splits_without_rho(monkeypatch):
     for n in [(10**9 + 7) * (10**9 + 9), 10000000000037 * 30000000000011,
               207132481, 200007550071253, 2000000827000085491]:
         assert factorize(n).factors == _sympy_factors(n)
-    assert calls == []
-    # psi_12 and psi_13 are p(2p - 1) too: the step splits them, though
-    # is_prime passes them
+    # psi_12 and psi_13 are p(2p - 1) too; is_prime refuses them, so they
+    # reach the tail and split there
     for p, q in [(399165290221, 798330580441), (1287836182261, 2575672364521)]:
         assert q == 2 * p - 1
-        assert divisors._fermat_divisor(p * q) in (p, q)
+        assert factorize(p * q).factors == ((p, 1), (q, 1))
+    assert calls == []
 
 
 @given(st.integers(1, 10**9))

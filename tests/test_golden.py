@@ -9,12 +9,13 @@ composite that p-1/p+1, rho and ECM all leave: no other argv writes one.
 They are copied into the file so that this test does not depend on the
 benchmark's generators.
 
-The file pins two records that are wrong today: `bisquare --n` on psi_12 and
-psi_13, strong pseudoprimes that `is_prime` calls prime until BPSW replaces
-the fixed-base Miller-Rabin test. The change that lands BPSW updates the
-file. Any update of the file is a change to the CLI's output and is listed
-in CHANGES.md; regenerate the digests from the argvs already in the file
-with `PYTHONPATH=src python tests/test_golden.py`.
+The `bisquare --n` argvs on psi_12 and psi_13, the strong pseudoprimes to
+the twelve prime bases up to 37, pin the records of the Baillie-PSW
+`is_prime`, which calls both composite: psi_13's record is its smallest-r
+decomposition, which the fixed-base Miller-Rabin test before it missed. Any
+update of the file is a change to the CLI's output and is listed in
+CHANGES.md; regenerate the digests from the argvs already in the file with
+`PYTHONPATH=src python tests/test_golden.py`.
 """
 
 import hashlib
