@@ -34,7 +34,7 @@ from .diophantine import (
 from .divisibility import gcd_identity_grid, scan_divisible
 from .divisors import check_tau_bounds, primitive_divisors
 from .errors import DomainError, HypothesisViolationError, ResourceLimitError
-from .identities import addition_sides, determinant_sides
+from .identities import addition_grid, determinant_grid
 from .quadfield import binet_eval, binet_repeated_root, discriminant
 
 OK = "ok"
@@ -83,16 +83,13 @@ def _cmd_compute(args):
 def _cmd_identity_addition(args):
     p, echo = _seed(args)
     max_m = args.max_m if args.max_m is not None else args.max_n
-    for m in range(max_m + 1):
-        for n in range(args.max_n + 1):
-            lhs, rhs = addition_sides(p, m, n)
-            yield _rec("identity", lhs == rhs, name="addition", m=m, n=n, lhs=lhs, rhs=rhs, **echo)
+    for m, n, lhs, rhs in addition_grid(p, max_m, args.max_n):
+        yield _rec("identity", lhs == rhs, name="addition", m=m, n=n, lhs=lhs, rhs=rhs, **echo)
 
 
 def _cmd_identity_determinant(args):
     p, echo = _seed(args)
-    for n in range(args.max_n + 1):
-        lhs, rhs = determinant_sides(p, n)
+    for n, lhs, rhs in determinant_grid(p, args.max_n):
         yield _rec("identity", lhs == rhs, name="determinant", n=n, lhs=lhs, rhs=rhs, **echo)
 
 
@@ -282,7 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_dumps = partial(json.dumps, sort_keys=True, separators=(",", ":"))
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _line(rec: dict) -> str:

@@ -6,6 +6,10 @@ throughout. Evaluation is offered both by the direct recurrence (linear time,
 the reference oracle) and by fast doubling (logarithmic time). The fast path
 is one iterative ladder that carries (F_k, F_{k+1}) over the bits of n; any
 G_n is then the split G_n = u*F_{n+1} + (v - a*u)*F_n.
+
+Sizes are bounded before anything is evaluated: `check_digit_cap` refuses one
+term, and `check_prefix_cap` a set of prefixes, that could pass
+`EVAL_DIGIT_LIMIT` digits.
 """
 
 from __future__ import annotations
@@ -68,20 +72,35 @@ def check_digit_cap(p: SequenceParams, n: int) -> None:
             f"G_{n} may have up to {digits} digits, above the {EVAL_DIGIT_LIMIT}-digit cap")
 
 
-def is_cquence(p: SequenceParams) -> bool:
-    """Pairwise-coprimality gate used by the divisibility lemmas.
+def check_prefix_cap(*prefixes: tuple[str, SequenceParams, int]) -> None:
+    """Raise ResourceLimitError when the prefixes could hold more than EVAL_DIGIT_LIMIT digits in all.
+
+    Each (X, p, n) names the prefix X_0..X_n of p. The digit bound grows with
+    the index from 1 on, so no term of a prefix has more digits than the
+    larger of its bounds at 0 and at n.
+    """
+    sizes = [(x, n, max(digit_bound(p, 0), digit_bound(p, n))) for x, p, n in prefixes]
+    # every bound is at least one digit, so a length clipped just past the
+    # cap is still over it, and a huge n stays out of float overflow
+    if sum(min(n + 1, EVAL_DIGIT_LIMIT + 1) * d for _, n, d in sizes) > EVAL_DIGIT_LIMIT:
+        names = " and ".join(f"{x}_0..{x}_{n}" for x, n, _ in sizes)
+        digits = " + ".join(f"{n + 1} x {int(d)}" for _, n, d in sizes)
+        raise ResourceLimitError(
+            f"{names} may have up to {digits} digits, above the {EVAL_DIGIT_LIMIT}-digit cap")
+
+
+def coprime_gate(u: int, v: int, a: int, b: int) -> bool:
+    """Pairwise-coprimality gate used by the divisibility lemmas, on plain ints.
 
     True iff b != 0 and gcd(u,v) = gcd(u,b) = gcd(a,b) = gcd(b,v) = 1, with
     gcd taken on absolute values and gcd(0, x) = |x|.
     """
-    if p.b == 0:
-        return False
-    return (
-        gcd(p.u, p.v) == 1
-        and gcd(p.u, p.b) == 1
-        and gcd(p.a, p.b) == 1
-        and gcd(p.b, p.v) == 1
-    )
+    return b != 0 and gcd(u, v) == 1 and gcd(u, b) == 1 and gcd(a, b) == 1 and gcd(b, v) == 1
+
+
+def is_cquence(p: SequenceParams) -> bool:
+    """`coprime_gate` on the seeds and coefficients of p."""
+    return coprime_gate(p.u, p.v, p.a, p.b)
 
 
 def g_iter(p: SequenceParams, n: int) -> int:

@@ -8,7 +8,8 @@ The gcd identity is checked at one point by `gcd_identity_check`, from three
 fast-doubling evaluations, and on a whole max x max grid by
 `gcd_identity_grid`, which reads every point from one linear prefix
 F_0..F_max. The prefix takes O(max^2) digits, so a grid whose prefix could
-pass `EVAL_DIGIT_LIMIT` digits is refused before anything is built.
+pass `EVAL_DIGIT_LIMIT` digits is refused before anything is built, by the
+`check_prefix_cap` of `core` that the addition grid of `identities` shares.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .core import EVAL_DIGIT_LIMIT, SequenceParams, digit_bound, f_fast, g_fast, g_prefix, is_cquence
-from .errors import DomainError, HypothesisViolationError, ResourceLimitError
+from .core import SequenceParams, check_prefix_cap, coprime_gate, f_fast, g_fast, g_prefix, is_cquence
+from .errors import DomainError, HypothesisViolationError
 
 DIVISIBLE = "divisible"
 COUNTEREXAMPLE = "counterexample"
@@ -94,15 +95,7 @@ def gcd_identity_grid(a: int, b: int, top: int) -> tuple[int, tuple[int, int] | 
         return 0, None
     _require_gcd_identity_pair(a, b)
     f = SequenceParams(0, 1, a, b)
-    # the bound grows with the index, so no term has more than
-    # digit_bound(f, top) digits; dividing the cap, not multiplying the
-    # bound, keeps a huge top out of float overflow
-    per_term = digit_bound(f, top)
-    if per_term > EVAL_DIGIT_LIMIT / (top + 1):
-        raise ResourceLimitError(
-            f"F_0..F_{top} may have up to {top + 1} x {int(per_term)} digits, "
-            f"above the {EVAL_DIGIT_LIMIT}-digit cap"
-        )
+    check_prefix_cap(("F", f, top))
     vals = g_prefix(f, top)
     checked = 0
     for m in range(1, top + 1):
@@ -127,18 +120,24 @@ class DivisibilityReport:
         return self.verdict == DIVISIBLE
 
 
+def _require_bound(bound: int) -> None:
+    if bound < 1:
+        raise DomainError("bound must be positive")
+
+
 def check_divisible_sequence(p: SequenceParams, bound: int) -> DivisibilityReport:
     """Test G_n | G_m for every pair 1 <= n <= m <= bound with n | m.
 
     Scans n ascending, then m ascending, and reports the first violating
     pair as the witness. Pairs with m = n are skipped as trivially true.
     """
-    if bound < 1:
-        raise DomainError("bound must be positive")
+    _require_bound(bound)
     vals = g_prefix(p, bound)
     for n in range(1, bound + 1):
+        d = vals[n]
         for m in range(2 * n, bound + 1, n):
-            if not divides(vals[n], vals[m]):
+            # not divides(d, G_m), inlined: 0 divides only 0
+            if vals[m] % d if d else vals[m]:
                 return DivisibilityReport(p, bound, COUNTEREXAMPLE, (n, m))
     return DivisibilityReport(p, bound, DIVISIBLE, None)
 
@@ -176,19 +175,18 @@ def scan_divisible(
     Grid points with b != 0 enter only if they pass the coprimality gate.
     Points with b = 0 fall outside that gate entirely; they are admitted
     when the leading seed divides every later term, which for b = 0 reduces
-    to u | v. Results follow the (u, v, a, b) grid order.
+    to u | v. Results follow the (u, v, a, b) grid order. A bound below 1 is
+    refused whether or not any point passes the gate.
     """
+    _require_bound(bound)
     survivors: list[tuple[SequenceParams, DivisibilityReport]] = []
     for u in range(u_range[0], u_range[1] + 1):
         for v in range(v_range[0], v_range[1] + 1):
             for a in range(a_range[0], a_range[1] + 1):
                 for b in range(b_range[0], b_range[1] + 1):
-                    p = SequenceParams(u, v, a, b)
-                    if b == 0:
-                        if not divides(u, v):
-                            continue
-                    elif not is_cquence(p):
+                    if not (coprime_gate(u, v, a, b) if b else divides(u, v)):
                         continue
+                    p = SequenceParams(u, v, a, b)
                     report = check_divisible_sequence(p, bound)
                     if report.is_divisible:
                         survivors.append((p, report))

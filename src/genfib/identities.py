@@ -2,11 +2,19 @@
 
 Every check is exact. Each boolean check has a companion returning both
 evaluated sides so a failing instance can be reported with its numbers.
+
+The sides are evaluated at one point by `addition_sides` and
+`determinant_sides`, from fast doubling, and on a whole grid by
+`addition_grid` and `determinant_grid`, which give the same sides from
+linear passes.
 """
 
 from __future__ import annotations
 
-from .core import SequenceParams, f_fast, g_fast
+from collections.abc import Iterator
+
+from .core import SequenceParams, check_prefix_cap, f_fast, g_fast, g_prefix
+from .errors import DomainError
 
 
 def invariant_quantity(p: SequenceParams) -> int:
@@ -28,6 +36,26 @@ def check_addition(p: SequenceParams, m: int, n: int) -> bool:
     return lhs == rhs
 
 
+def addition_grid(p: SequenceParams, max_m: int, max_n: int) -> Iterator[tuple[int, int, int, int]]:
+    """Yield (m, n, lhs, rhs), the sides of `addition_sides`, for 0 <= m <= max_m, 0 <= n <= max_n, row by row.
+
+    Every value comes from one prefix G_0..G_{max_m+max_n+1} and one prefix
+    F_0..F_{max_n+1}. Raises DomainError for a negative bound, and
+    ResourceLimitError, before building anything, when the two prefixes
+    could hold more than EVAL_DIGIT_LIMIT digits in all.
+    """
+    if min(max_m, max_n) < 0:
+        raise DomainError("max_m and max_n must be non-negative")
+    fseq = SequenceParams(0, 1, p.a, p.b)
+    check_prefix_cap(("G", p, max_m + max_n + 1), ("F", fseq, max_n + 1))
+    g = g_prefix(p, max_m + max_n + 1)
+    f = g_prefix(fseq, max_n + 1)
+    for m in range(max_m + 1):
+        g_next, bg = g[m + 1], p.b * g[m]
+        for n in range(max_n + 1):
+            yield m, n, g[m + n + 1], g_next * f[n + 1] + bg * f[n]
+
+
 def determinant_sides(p: SequenceParams, n: int) -> tuple[int, int]:
     """Both sides of G_n*G_{n+2} - G_{n+1}^2 = (-b)^n * D."""
     lhs = g_fast(p, n) * g_fast(p, n + 2) - g_fast(p, n + 1) ** 2
@@ -38,3 +66,19 @@ def determinant_sides(p: SequenceParams, n: int) -> tuple[int, int]:
 def check_determinant(p: SequenceParams, n: int) -> bool:
     lhs, rhs = determinant_sides(p, n)
     return lhs == rhs
+
+
+def determinant_grid(p: SequenceParams, max_n: int) -> Iterator[tuple[int, int, int]]:
+    """Yield (n, lhs, rhs), the sides of `determinant_sides`, for 0 <= n <= max_n.
+
+    Walks (G_n, G_{n+1}, G_{n+2}) forward with a running (-b)^n, so it keeps
+    no list and needs no cap. Raises DomainError for a negative bound.
+    """
+    if max_n < 0:
+        raise DomainError("max_n must be non-negative")
+    d = invariant_quantity(p)
+    g0, g1, power = p.u, p.v, 1
+    for n in range(max_n + 1):
+        g2 = p.a * g1 + p.b * g0
+        yield n, g0 * g2 - g1 * g1, power * d
+        g0, g1, power = g1, g2, -p.b * power

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from genfib import ResourceLimitError, SequenceParams, TauBounds, cli, divisibility, g_iter
+from genfib import ResourceLimitError, SequenceParams, TauBounds, cli, divisibility, g_iter, identities
 from genfib.core import check_digit_cap
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -109,6 +109,48 @@ def test_identity_addition_grid():
     recs = records(proc)
     assert len(recs) == 4 * 5
     assert all(r["status"] == "ok" for r in recs)
+
+
+SEED = ["--u", "1", "--v", "2", "--a", "1", "--b", "1"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["identity", "addition", *SEED, "--max-n", "-1"], "max_m and max_n must be non-negative"),
+    (["identity", "addition", *SEED, "--max-n", "3", "--max-m", "-3"], "max_m and max_n must be non-negative"),
+    (["identity", "addition", *SEED, "--max-n", "-1", "--max-m", "3"], "max_m and max_n must be non-negative"),
+    (["identity", "determinant", *SEED, "--max-n", "-2"], "max_n must be non-negative"),
+])
+def test_identity_grids_refuse_negative_bounds(capsys, argv, message):
+    # they once wrote nothing and exited 0
+    assert run_in_process(capsys, argv) == ("", f"error: {message}\n", 2)
+
+
+@pytest.mark.parametrize("name", ["addition", "determinant"])
+def test_identity_grids_at_zero_write_one_record(capsys, name):
+    out, err, code = run_in_process(capsys, ["identity", name, *SEED, "--max-n", "0"])
+    assert (code, err, len(out.splitlines())) == (0, "", 1)
+
+
+def test_identity_addition_past_the_cap_builds_nothing(capsys, monkeypatch):
+    # a grid whose prefixes would pass the digit cap is refused before either
+    # is built, where it once streamed records without end
+    def refuse(*args):
+        raise AssertionError("a prefix was built")
+
+    monkeypatch.setattr(identities, "g_prefix", refuse)
+    out, err, code = run_in_process(capsys, ["identity", "addition", *SEED, "--max-n", str(10**6)])
+    assert (code, out) == (3, "")
+    assert err.startswith("resource limit: G_0..G_2000001 and F_0..F_1000001 may have up to ")
+    assert err.endswith(" digits, above the 1000000-digit cap\n")
+
+
+@pytest.mark.parametrize("grid", [("2..2", "2..2", "1..1", "2..2"), ("0..0", "1..1", "1..1", "1..1")])
+def test_scan_divisible_refuses_bound_zero(capsys, grid):
+    # the bound is checked before the gate: the first grid has no point past
+    # the gate, and it once wrote an empty summary and exited 0
+    flags = ("--u-range", "--v-range", "--a-range", "--b-range")
+    argv = ["scan-divisible", *(w for pair in zip(flags, grid) for w in pair), "--bound", "0"]
+    assert run_in_process(capsys, argv) == ("", "error: bound must be positive\n", 2)
 
 
 def test_scan_divisible_records():
@@ -389,14 +431,15 @@ def test_every_required_flag_is_enforced(capsys, argv):
 def test_records_before_a_resource_limit_stay_written(capsys, monkeypatch):
     # each record is written as it is made: a limit hit at m = 1 leaves the
     # three records of row m = 0 on stdout
-    addition_sides = cli.addition_sides
+    addition_grid = cli.addition_grid
 
-    def limited(p, m, n):
-        if m == 1:
-            raise ResourceLimitError("limit at m = 1")
-        return addition_sides(p, m, n)
+    def limited(p, max_m, max_n):
+        for point in addition_grid(p, max_m, max_n):
+            if point[0] == 1:
+                raise ResourceLimitError("limit at m = 1")
+            yield point
 
-    monkeypatch.setattr(cli, "addition_sides", limited)
+    monkeypatch.setattr(cli, "addition_grid", limited)
     out, err, code = run_in_process(capsys, ["identity", "addition", "--u", "0", "--v", "1",
                                              "--a", "1", "--b", "1", "--max-n", "2"])
     recs = [json.loads(line) for line in out.splitlines()]

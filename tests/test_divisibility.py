@@ -1,7 +1,7 @@
 """Coprimality lemmas, the gcd identity, and the divisible-sequence scan."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from genfib import (
     COUNTEREXAMPLE,
@@ -25,7 +25,7 @@ from genfib import (
     scan_divisible,
 )
 from genfib import divisibility
-from genfib.core import EVAL_DIGIT_LIMIT, digit_bound
+from genfib.core import EVAL_DIGIT_LIMIT, coprime_gate, digit_bound
 
 
 def test_divides_conventions():
@@ -172,6 +172,38 @@ def test_divisible_sequence_reports():
     assert check_divisible_sequence(SequenceParams(3, 6, 5, 0), 30).is_divisible
     with pytest.raises(DomainError):
         check_divisible_sequence(SequenceParams(0, 1, 1, 1), 0)
+
+
+def _first_witness(p, bound):
+    # the reference scan: n ascending, then m ascending, under divides()
+    vals = g_prefix(p, bound)
+    for n in range(1, bound + 1):
+        for m in range(2 * n, bound + 1, n):
+            if not divides(vals[n], vals[m]):
+                return n, m
+    return None
+
+
+@given(st.integers(-4, 4), st.integers(-4, 4), st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 20))
+@settings(max_examples=300)
+@example(u=2, v=-1, a=2, b=1, bound=30)  # G_2 = 0 divides only 0, and G_4 = -2
+@example(u=0, v=0, a=1, b=1, bound=10)  # every term is 0
+def test_divisible_sequence_witness_matches_divides(u, v, a, b, bound):
+    p = SequenceParams(u, v, a, b)
+    assert check_divisible_sequence(p, bound).witness == _first_witness(p, bound)
+
+
+@given(st.integers(-6, 6), st.integers(-6, 6), st.integers(-6, 6), st.integers(-6, 6))
+def test_coprime_gate_is_cquence(u, v, a, b):
+    assert coprime_gate(u, v, a, b) == is_cquence(SequenceParams(u, v, a, b))
+
+
+def test_scan_divisible_refuses_a_bound_below_one():
+    # whether or not any grid point passes the gate
+    for grid in (((2, 2), (2, 2), (1, 1), (2, 2)), ((0, 0), (1, 1), (1, 1), (1, 1))):
+        for bound in (0, -5):
+            with pytest.raises(DomainError, match="bound must be positive"):
+                scan_divisible(*grid, bound)
 
 
 def test_gm_divides_fm_spot_values():
