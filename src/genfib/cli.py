@@ -21,7 +21,6 @@ from functools import cache, partial
 from .core import SequenceParams, check_digit_cap, g_fast, g_iter
 from .diophantine import (
     Family,
-    _square_pairs_grid,
     alternating_witnesses,
     brute_force_solutions,
     completeness_report,
@@ -29,6 +28,7 @@ from .diophantine import (
     family_solution,
     is_bisquare,
     is_solution,
+    square_invariant_pairs,
     two_square_decomposition,
 )
 from .divisibility import gcd_identity_grid, scan_divisible
@@ -136,7 +136,7 @@ def _cmd_bisquare(args):
     if (args.n is None) == (args.mode is None):
         raise DomainError("bisquare takes exactly one of --n and scan")
     if args.mode == "scan":
-        pairs = _square_pairs_grid(args.u_max, args.v_max, args.a, args.b)
+        pairs = square_invariant_pairs(args.u_max, args.v_max, args.a, args.b)
         for u, v, t in pairs:
             yield _rec("square-invariant-pair", u=u, v=v, t=t, a=args.a, b=args.b)
         yield _rec("scan-summary", scan="square-invariant", pairs=len(pairs))

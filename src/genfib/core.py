@@ -34,9 +34,27 @@ class SequenceParams:
     b: int
 
 
+def digit_count(n: int) -> int:
+    """The number of decimal digits of n != 0, counted without str.
+
+    log10 is off by far less than 1/2, so 10^k with k = round(log10|n|) is
+    the one power of ten the count can turn on.
+    """
+    k = round(log10(abs(n)))
+    return k + (abs(n) >= 10**k)
+
+
+def int_text(n: int) -> str:
+    """n in decimal for a message, or by its digit count past the interpreter's int -> str limit."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"{'-' * (n < 0)}<{digit_count(n)}-digit int>"
+
+
 def _require_index(n: int) -> None:
     if n < 0:
-        raise DomainError(f"index must be non-negative, got {n}")
+        raise DomainError(f"index must be non-negative, got {int_text(n)}")
 
 
 def digit_bound(p: SequenceParams, n: int) -> float:
@@ -69,7 +87,7 @@ def check_digit_cap(p: SequenceParams, n: int) -> None:
     digits = int(digit_bound(p, n))
     if digits > EVAL_DIGIT_LIMIT:
         raise ResourceLimitError(
-            f"G_{n} may have up to {digits} digits, above the {EVAL_DIGIT_LIMIT}-digit cap")
+            f"G_{int_text(n)} may have up to {digits} digits, above the {EVAL_DIGIT_LIMIT}-digit cap")
 
 
 def check_prefix_cap(*prefixes: tuple[str, SequenceParams, int]) -> None:
@@ -83,8 +101,8 @@ def check_prefix_cap(*prefixes: tuple[str, SequenceParams, int]) -> None:
     # every bound is at least one digit, so a length clipped just past the
     # cap is still over it, and a huge n stays out of float overflow
     if sum(min(n + 1, EVAL_DIGIT_LIMIT + 1) * d for _, n, d in sizes) > EVAL_DIGIT_LIMIT:
-        names = " and ".join(f"{x}_0..{x}_{n}" for x, n, _ in sizes)
-        digits = " + ".join(f"{n + 1} x {int(d)}" for _, n, d in sizes)
+        names = " and ".join(f"{x}_0..{x}_{int_text(n)}" for x, n, _ in sizes)
+        digits = " + ".join(f"{int_text(n + 1)} x {int(d)}" for _, n, d in sizes)
         raise ResourceLimitError(
             f"{names} may have up to {digits} digits, above the {EVAL_DIGIT_LIMIT}-digit cap")
 

@@ -1,15 +1,16 @@
 """The equation 5x^2 + 4y^2 = z^2, sums of two squares, and seed-pair searches.
 
-The equation's solutions are generated by four two-parameter families and
-checked for completeness against exhaustive enumeration. F3 and F4 come from
-one formula in (s, t) = (5l^2, m^2) or (l^2, 5m^2); F1 and F2 are F3 and F4
-divided by 4, which is exact for odd l and m, since then s - t and 2(s + t)
-are 4 mod 8. The exhaustive enumeration reads the equation as
-(z - 2y)(z + 2y) = 5x^2: each solution with x > 0 is one factor pair p < q
-of 5x^2 with p = q (mod 4), so walking x and the divisors of 5x^2 lists
-every solution once, with no search over z. The two-square (bisquare)
-machinery classifies values via factorization, with a direct search as the
-independent second route.
+The equation's solutions are generated by four two-parameter families. F3
+and F4 come from one formula in (s, t) = (5l^2, m^2) or (l^2, 5m^2); F1 and
+F2 are F3 and F4 divided by 4, which is exact for odd l and m, since then
+s - t and 2(s + t) are 4 mod 8. The exhaustive enumeration reads the
+equation as (z - 2y)(z + 2y) = 5x^2: each solution with x > 0 is one factor
+pair p < q of 5x^2 with p = q (mod 4), so walking x and the divisors of
+5x^2 lists every solution once, with no search over z. Completeness is
+decided by the inverse map, not by enumerating the families: that pair over
+its gcd gives the solution's family parameters, and the family formula
+rebuilds it. The two-square (bisquare) machinery classifies values via
+factorization, with a direct search as the independent second route.
 """
 
 from __future__ import annotations
@@ -146,53 +147,45 @@ class CompletenessReport:
         return not self.unmatched
 
 
-def _family_triples(z_max: int, param_bound: int) -> set[tuple[int, int, int]]:
-    # param_bound caps the smaller parameter; the larger one is capped by the
-    # feasibility limit isqrt(2*z_max) implied by z <= z_max, so enumeration
-    # covers the target range whenever param_bound >= isqrt(z_max / 3).
-    # F1 and F2 have the least z at given l, m, (5l^2 + m^2)/2 and
-    # (l^2 + 5m^2)/2, and both grow with m, so the m walk stops at the first
-    # m where both pass z_max.
-    cap = isqrt(2 * z_max) + 1
-    out: set[tuple[int, int, int]] = set()
-    for l in range(1, cap + 1):
-        for m in range(1, cap + 1):
-            if min(5 * l * l + m * m, l * l + 5 * m * m) > 2 * z_max:
-                break
-            if min(l, m) > param_bound:
-                continue
-            for fam in families_for(l, m):
-                sol = family_solution(fam, 1, l, m)
-                if sol.z <= 0 or sol.z > z_max:
-                    continue
-                x1, y1, z1 = abs(sol.x), abs(sol.y), sol.z
-                for k in range(1, z_max // z1 + 1):
-                    out.add((x1 * k, y1 * k, z1 * k))
-    return out
+def _family_preimage(x: int, y: int, z: int) -> DiophSolution:
+    """The F1 or F3 member at the parameters of the solution (x, y, z), x > 0; it is (x, +-y, z).
+
+    With p = z - 2y, q = z + 2y and g = gcd(p, q), g divides x and p/g, q/g
+    are coprime with product 5(x/g)^2: they are m^2 and 5l^2, gcd(l, m) = 1.
+    For odd l, m that is F1 with k = g; otherwise m^2 - 5l^2 is odd and
+    p = q (mod 4) forces 4 | g: F3 with k = g/4. F2(l, m) is F1(m, l) with y
+    negated, and so for F4. Any member equal to the solution has
+    {p, q} = {k'm^2, 5k'l^2}, with g = k', or g = 5k' and (m/5, l) here; so
+    min(l, m) here is the least over all of the solution's parameters.
+    """
+    g = gcd(z - 2 * y, z + 2 * y)
+    p, q = (z - 2 * y) // g, (z + 2 * y) // g
+    l, m = (isqrt(p // 5), isqrt(q)) if p % 5 == 0 else (isqrt(q // 5), isqrt(p))
+    if l % 2 and m % 2:
+        return family_solution(Family.F1, g, l, m)
+    return family_solution(Family.F3, g // 4, l, m)
 
 
 def completeness_report(z_max: int, param_bound: int) -> CompletenessReport:
     """Match every exhaustive solution against the families.
 
-    Solutions compare up to the sign of y (the equation is even in y). The
-    x = 0 line (0, y, 2y) cannot arise from nonzero family parameters and is
-    accounted separately as degenerate.
+    A solution with x > 0 is matched when its parameters have
+    min(l, m) <= param_bound and their family member, rebuilt by
+    `family_solution`, is the solution up to the sign of y (the equation is
+    even in y). The x = 0 line (0, y, 2y) cannot arise from nonzero family
+    parameters and is accounted separately as degenerate.
     """
     if param_bound < 0:
         raise DomainError("param_bound must be non-negative")
     brute = brute_force_solutions(z_max)
-    fam = _family_triples(z_max, param_bound)
-    matched = degenerate = 0
-    unmatched: list[tuple[int, int, int]] = []
-    for sol in brute:
-        if sol[0] == 0:
-            degenerate += 1
-        elif sol in fam:
-            matched += 1
-        else:
-            unmatched.append(sol)
+    members = [(sol, _family_preimage(*sol)) for sol in brute if sol[0]]
+    unmatched = tuple(
+        sol for sol, f in members
+        if min(f.params[1:]) > param_bound or (f.x, abs(f.y), f.z) != sol
+    )
     return CompletenessReport(
-        z_max, param_bound, len(brute), matched, degenerate, tuple(unmatched)
+        z_max, param_bound, len(brute), len(members) - len(unmatched),
+        len(brute) - len(members), unmatched,
     )
 
 
@@ -314,28 +307,20 @@ def euler_divisor_check(n: int) -> bool:
     return all(is_bisquare(d) for d in fac.divisors())
 
 
-def _square_pairs_grid(
-    u_max: int, v_max: int, a: int, b: int
-) -> list[tuple[int, int, int]]:
+def square_invariant_pairs(u_max: int, v_max: int, a: int, b: int) -> list[tuple[int, int, int]]:
+    """Seed pairs 0 <= u <= u_max, 0 <= v <= v_max whose invariant D is a perfect square.
+
+    Returns (u, v, t) with t = sqrt(D) >= 0, ordered by (u, v).
+    """
+    if u_max < 0 or v_max < 0:
+        raise DomainError("u_max and v_max must be non-negative")
     out = []
     for u in range(u_max + 1):
         for v in range(v_max + 1):
             d = invariant_quantity(SequenceParams(u, v, a, b))
-            if d >= 0:
-                t = isqrt(d)
-                if t * t == d:
-                    out.append((u, v, t))
+            if _is_square(d):
+                out.append((u, v, isqrt(d)))
     return out
-
-
-def square_invariant_pairs(search_bound: int, a: int, b: int) -> list[tuple[int, int, int]]:
-    """Seed pairs 0 <= u, v <= search_bound whose invariant D is a perfect square.
-
-    Returns (u, v, t) with t = sqrt(D) >= 0, ordered by (u, v).
-    """
-    if search_bound < 0:
-        raise DomainError("search_bound must be non-negative")
-    return _square_pairs_grid(search_bound, search_bound, a, b)
 
 
 @dataclass(frozen=True)

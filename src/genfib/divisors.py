@@ -50,9 +50,9 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache, partial, wraps
 from itertools import compress
-from math import gcd, isqrt, log10, prod
+from math import gcd, isqrt, prod
 
-from .core import EVAL_DIGIT_LIMIT, SequenceParams, check_digit_cap, f_fast
+from .core import EVAL_DIGIT_LIMIT, SequenceParams, check_digit_cap, digit_count, f_fast, int_text
 from .errors import DomainError, HypothesisViolationError, ResourceLimitError, RhoBudgetError
 
 # F_n values above this many decimal digits are not factored; callers see a
@@ -252,7 +252,7 @@ def factorize(n: int) -> Factorization:
     so is a ResourceLimitError.
     """
     if n < 1:
-        raise DomainError(f"factorize needs a positive integer, got {n}")
+        raise DomainError(f"factorize needs a positive integer, got {int_text(n)}")
     return _factorize_memo(n, RHO_BUDGET, ECM_CURVES)
 
 
@@ -359,11 +359,7 @@ def _factor_f(a: int, b: int, n: int) -> Factorization:
         check_digit_cap(SequenceParams(0, 1, a, b), n)
     fn = f_fast(a, b, n)
     if fn >= 10**DIGIT_LIMIT:
-        # log10 is off by far less than 1/2, so 10^k with k = round(log10(fn))
-        # is the one power of ten the digit count can turn on
-        k = round(log10(fn))
-        digits = k + (fn >= 10**k)
-        raise ResourceLimitError(f"F_{n} has {digits} digits, above the {DIGIT_LIMIT}-digit cap")
+        raise ResourceLimitError(f"F_{n} has {digit_count(fn)} digits, above the {DIGIT_LIMIT}-digit cap")
     try:
         imprimitive = _imprimitive_primes(a, b, n)
     except RhoBudgetError as exc:

@@ -266,7 +266,7 @@ def test_criterion_08_bisquare_classifier():
 
 def test_criterion_09_alternating_bisquable():
     t0 = time.time()
-    pairs = square_invariant_pairs(20, 1, 1)
+    pairs = square_invariant_pairs(20, 20, 1, 1)
     fails = 0
     for u, v, t in pairs:
         G = g_prefix(SequenceParams(u, v, 1, 1), 22)

@@ -255,6 +255,13 @@ def test_bisquare_single():
     assert rec["bisquare"] is False and rec["decomposition"] is None
 
 
+@pytest.mark.parametrize("bounds", [("-1", "3"), ("3", "-1")])
+def test_bisquare_scan_refuses_negative_bounds(capsys, bounds):
+    # it once wrote a summary of 0 pairs and exited 0
+    argv = ["bisquare", "scan", f"--u-max={bounds[0]}", f"--v-max={bounds[1]}", "--a", "1", "--b", "1"]
+    assert run_in_process(capsys, argv) == ("", "error: u_max and v_max must be non-negative\n", 2)
+
+
 def test_bisquare_scan():
     proc = run_cli("bisquare", "scan", "--u-max", "3", "--v-max", "3", "--a", "1", "--b", "1")
     assert proc.returncode == 0

@@ -10,8 +10,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from genfib import DomainError, SequenceParams, f_fast, g_fast, g_iter, g_prefix, is_cquence
-from genfib import ResourceLimitError
-from genfib.core import EVAL_DIGIT_LIMIT, _f_pair, check_digit_cap, digit_bound
+from genfib import (
+    ResourceLimitError,
+    addition_grid,
+    check_tau_bounds,
+    factorize,
+    gcd_identity_grid,
+    primitive_divisors,
+)
+from genfib.core import EVAL_DIGIT_LIMIT, _f_pair, check_digit_cap, digit_bound, digit_count, int_text
 
 
 def reference(u, v, a, b, n):
@@ -165,3 +172,31 @@ def test_digit_cap_passes_bounded_sequences():
     # roots of modulus 1 grow at most linearly: no index is over the cap
     for p in (SequenceParams(3, 5, 2, -1), SequenceParams(3, 5, 1, -1), SequenceParams(3, 5, 0, 1)):
         check_digit_cap(p, 10**100)
+
+
+HUGE = 10**5000
+FIB_PARAMS = SequenceParams(0, 1, 1, 1)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: gcd_identity_grid(1, 1, HUGE), ResourceLimitError),
+    (lambda: check_digit_cap(FIB_PARAMS, HUGE), ResourceLimitError),
+    (lambda: check_tau_bounds(1, 1, HUGE), ResourceLimitError),
+    (lambda: primitive_divisors(1, 1, HUGE), ResourceLimitError),
+    (lambda: next(addition_grid(FIB_PARAMS, HUGE, 1)), ResourceLimitError),
+    (lambda: g_fast(FIB_PARAMS, -HUGE), DomainError),
+    (lambda: factorize(-HUGE), DomainError),
+], ids=["gcd_identity_grid", "check_digit_cap", "check_tau_bounds", "primitive_divisors",
+        "addition_grid", "g_fast", "factorize"])
+def test_huge_ints_are_refused_by_their_digit_count(call, error):
+    # str() of an int past the interpreter's 4300-digit limit raises
+    # ValueError, so the refusal names such an int by its digit count
+    with pytest.raises(error, match="<5001-digit int>"):
+        call()
+
+
+def test_int_text_is_str_below_the_limit():
+    for n in (0, -7, 10**4299, -(10**4300 - 1)):
+        assert int_text(n) == str(n)
+    assert int_text(10**4300) == "<4301-digit int>"
+    assert [digit_count(n) for n in (1, -9, 10, 99, 10**4300 - 1, 10**4300)] == [1, 1, 2, 2, 4300, 4301]

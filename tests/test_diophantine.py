@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 from sympy.solvers.diophantine.diophantine import sum_of_squares
 
 from genfib import (
+    CompletenessReport,
     DomainError,
     Family,
     HypothesisViolationError,
@@ -134,6 +135,56 @@ def test_family_walk_reaches_every_solution():
         assert rep.total == len(_oracle_by_y(z_max)), z_max
 
 
+def _family_triples(z_max, param_bound):
+    # the library's former matcher, kept as the oracle of the preimage map:
+    # every family member (x, |y|, z) with z <= z_max and min(l, m) <=
+    # param_bound. The larger parameter is capped by feasibility, since F1
+    # and F2 have the least z at given l, m, (5l^2 + m^2)/2 and
+    # (l^2 + 5m^2)/2, and both grow with m, so the m walk stops at the first
+    # m where both pass z_max.
+    cap = isqrt(2 * z_max) + 1
+    out = set()
+    for l in range(1, cap + 1):
+        for m in range(1, cap + 1):
+            if min(5 * l * l + m * m, l * l + 5 * m * m) > 2 * z_max:
+                break
+            if min(l, m) > param_bound:
+                continue
+            for fam in families_for(l, m):
+                sol = family_solution(fam, 1, l, m)
+                if sol.z <= 0 or sol.z > z_max:
+                    continue
+                x1, y1, z1 = abs(sol.x), abs(sol.y), sol.z
+                for k in range(1, z_max // z1 + 1):
+                    out.add((x1 * k, y1 * k, z1 * k))
+    return out
+
+
+def _report_by_family_set(z_max, param_bound, brute):
+    members = _family_triples(z_max, param_bound)
+    unmatched = tuple(s for s in brute if s[0] and s not in members)
+    degenerate = sum(1 for s in brute if not s[0])
+    return CompletenessReport(z_max, param_bound, len(brute), len(brute) - degenerate - len(unmatched),
+                              degenerate, unmatched)
+
+
+@pytest.mark.parametrize("z_max", [0, 1, 2, 3, 10, 50, 300, 2000, 4000])
+def test_preimages_match_the_family_set(z_max):
+    # matching each solution by its preimage gives the report that looking it
+    # up among all family members did, gaps included
+    brute = brute_force_solutions(z_max)
+    for param_bound in [*range(14), 20, 40, 45, 50, 100]:
+        assert completeness_report(z_max, param_bound) == _report_by_family_set(z_max, param_bound, brute)
+
+
+def test_preimages_rebuild_every_solution_to_20000():
+    # z >= (5l^2 + m^2)/2 >= 3 min(l, m)^2, so the bound isqrt(20000 / 3) = 81
+    # reaches every solution; one below it, F1(1, 81, 83) is left out
+    assert completeness_report(20000, 81).complete
+    assert completeness_report(20000, 80).unmatched == ((6723, 6479, 19847),)
+    assert _xyz(family_solution("F1", 1, 81, 83)) == (6723, 6479, 19847)
+
+
 def test_completeness_refuses_negative_bounds():
     with pytest.raises(DomainError):
         completeness_report(50, -1)
@@ -243,18 +294,29 @@ def test_euler_divisor_check():
 
 
 def test_square_invariant_pairs():
-    pairs = square_invariant_pairs(5, 1, 1)
+    pairs = square_invariant_pairs(5, 5, 1, 1)
     assert pairs == [
         (0, 0, 0), (1, 0, 1), (1, 1, 1), (2, 0, 2), (2, 2, 2), (2, 3, 1),
         (3, 0, 3), (3, 3, 3), (4, 0, 4), (4, 4, 4), (5, 0, 5), (5, 5, 5),
     ]
-    for u, v, t in square_invariant_pairs(20, 1, 1):
+    for u, v, t in square_invariant_pairs(20, 20, 1, 1):
         assert u * u + u * v - v * v == t * t
+
+
+def test_square_invariant_pairs_rectangle():
+    # the square scan is the rectangle with equal sides; a negative side is refused
+    assert square_invariant_pairs(3, 1, 1, 1) == [
+        (u, v, t) for u, v, t in square_invariant_pairs(3, 3, 1, 1) if v <= 1
+    ]
+    assert square_invariant_pairs(0, 0, 1, 1) == [(0, 0, 0)]
+    for bounds in ((-1, 3), (3, -1)):
+        with pytest.raises(DomainError):
+            square_invariant_pairs(*bounds, 1, 1)
 
 
 def test_square_invariant_pairs_includes_sporadics():
     # beyond the diagonal families there are isolated hits like (5, 8)
-    pairs = {(u, v) for u, v, _ in square_invariant_pairs(21, 1, 1)}
+    pairs = {(u, v) for u, v, _ in square_invariant_pairs(21, 21, 1, 1)}
     assert (2, 3) in pairs and (5, 8) in pairs and (13, 21) in pairs
 
 

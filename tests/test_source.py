@@ -96,6 +96,26 @@ def test_every_module_constant_is_read():
     assert sorted(loc for name, loc in defined.items() if name not in read) == []
 
 
+def test_every_private_function_is_read():
+    # a private function or class that no package code reads is left behind
+    # by code that is gone; tests may keep such code as an oracle, but not
+    # the package
+    defined = {}
+    read = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"):
+                defined[node.name] = f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    assert defined
+    assert sorted(loc for name, loc in defined.items() if name not in read) == []
+
+
 def test_benchmark_tracer_wraps_its_names(capsys):
     # perfbench/tracer.py wraps package functions by name and counts a rank
     # that does not exist at the `limit` default of rank_of_apparition; a
