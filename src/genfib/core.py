@@ -15,7 +15,7 @@ term, and `check_prefix_cap` a set of prefixes, that could pass
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt, log10, sqrt
+from math import ceil, gcd, isqrt, log10, sqrt
 
 from .errors import DomainError, ResourceLimitError
 
@@ -64,7 +64,8 @@ def digit_bound(p: SequenceParams, n: int) -> float:
     F_n = sum of alpha^k * beta^(n-1-k) over 0 <= k < n, so |F_n| <= n*R^(n-1)
     with R the larger root modulus, taken as 1 if it is smaller. Then
     G_n = v*F_n + b*u*F_{n-1} gives |G_n| <= (|v| + |b*u|) * n * R^(n-1), whose
-    log10, plus one, bounds the digit count.
+    log10, plus one, bounds the digit count. Past n = 10^18 the figure is an
+    int that cannot overflow or lose digits, and at least (n - 1)*log10(R).
     """
     _require_index(n)
     if n == 0:
@@ -76,10 +77,12 @@ def digit_bound(p: SequenceParams, n: int) -> float:
         # 2R = |a| + sqrt(d); above float range, isqrt(d) + 1 bounds sqrt(d)
         twice = abs(p.a) + (sqrt(d) if d < 2**1000 else isqrt(d) + 1)
         log_r = log10(twice) - log10(2) if twice > 2 else 0.0
-    # R is 1 or at least sqrt(2), so when R > 1 an index of 10^18 is already
-    # far over the cap, and n beyond it need not be converted to a float
-    growth = (min(n, 10**18) - 1) * log_r
-    return log10(max(abs(p.v) + abs(p.b * p.u), 1)) + log10(n) + growth + 1
+    head = log10(max(abs(p.v) + abs(p.b * p.u), 1)) + log10(n)
+    if n <= 10**18:
+        return head + (n - 1) * log_r + 1
+    # log_r raised by 2^-40 of itself covers its own rounding
+    num, den = (log_r * (1 + 2**-40)).as_integer_ratio()
+    return ceil(head) + 1 - (1 - n) * num // den
 
 
 def check_digit_cap(p: SequenceParams, n: int) -> None:
@@ -87,7 +90,7 @@ def check_digit_cap(p: SequenceParams, n: int) -> None:
     digits = int(digit_bound(p, n))
     if digits > EVAL_DIGIT_LIMIT:
         raise ResourceLimitError(
-            f"G_{int_text(n)} may have up to {digits} digits, above the {EVAL_DIGIT_LIMIT}-digit cap")
+            f"G_{int_text(n)} may have up to {int_text(digits)} digits, above the {EVAL_DIGIT_LIMIT}-digit cap")
 
 
 def check_prefix_cap(*prefixes: tuple[str, SequenceParams, int]) -> None:
@@ -98,11 +101,12 @@ def check_prefix_cap(*prefixes: tuple[str, SequenceParams, int]) -> None:
     larger of its bounds at 0 and at n.
     """
     sizes = [(x, n, max(digit_bound(p, 0), digit_bound(p, n))) for x, p, n in prefixes]
-    # every bound is at least one digit, so a length clipped just past the
-    # cap is still over it, and a huge n stays out of float overflow
-    if sum(min(n + 1, EVAL_DIGIT_LIMIT + 1) * d for _, n, d in sizes) > EVAL_DIGIT_LIMIT:
+    # every length and bound is at least one, so a factor clipped just past
+    # the cap still puts its term over it, and no float overflows
+    clip = EVAL_DIGIT_LIMIT + 1
+    if sum(min(n + 1, clip) * min(d, clip) for _, n, d in sizes) > EVAL_DIGIT_LIMIT:
         names = " and ".join(f"{x}_0..{x}_{int_text(n)}" for x, n, _ in sizes)
-        digits = " + ".join(f"{int_text(n + 1)} x {int(d)}" for _, n, d in sizes)
+        digits = " + ".join(f"{int_text(n + 1)} x {int_text(int(d))}" for _, n, d in sizes)
         raise ResourceLimitError(
             f"{names} may have up to {digits} digits, above the {EVAL_DIGIT_LIMIT}-digit cap")
 

@@ -3,6 +3,8 @@
 The characteristic roots of x^2 - a*x - b are alpha = w and beta = a - w.
 Keeping w symbolic makes every intermediate quantity an exact integer pair,
 so closed-form values can be compared bit for bit against the recurrence.
+The Galois conjugation w -> a - w takes alpha to beta, so beta^n is the
+conjugate of alpha^n, and the closed form is read from alpha^n alone.
 """
 
 from __future__ import annotations
@@ -90,25 +92,17 @@ def binet_eval(p: SequenceParams, n: int) -> int:
 
         G_n = [v*(alpha^n - beta^n) + u*(alpha*beta^n - alpha^n*beta)] / (alpha - beta).
 
-    The numerator is an integer multiple of alpha - beta = 2w - a, so the
-    quotient is read off the w-coefficients. The u-term is oriented so that
-    n = 0 yields +u, which the recurrence demands.
+    If alpha^n = X + Y*w, its conjugate is beta^n = (X + a*Y) - Y*w, so the two
+    differences are Y and X times alpha - beta = 2w - a, and G_n = u*X + v*Y
+    with no division. n = 0 yields +u, which the recurrence demands.
     """
     _require_index(n)
-    a, b = p.a, p.b
-    if discriminant(a, b) == 0:
+    if discriminant(p.a, p.b) == 0:
         raise DegenerateDiscriminantError(
-            f"(a,b)=({a},{b}) has a repeated root; use binet_repeated_root"
+            f"(a,b)=({p.a},{p.b}) has a repeated root; use binet_repeated_root"
         )
-    alpha = QuadInt.omega(a, b)
-    beta = QuadInt(a, -1, a, b)
-    an = quad_pow(alpha, n)
-    bn = quad_pow(beta, n)
-    num = (an - bn).scaled(p.v) + (quad_mul(alpha, bn) - quad_mul(an, beta)).scaled(p.u)
-    q, r = divmod(num.y, 2)  # (alpha - beta) has w-coefficient 2
-    if r or num.x != -a * q:
-        raise AssertionError("numerator not a multiple of alpha - beta")
-    return q
+    an = quad_pow(QuadInt.omega(p.a, p.b), n)
+    return p.u * an.x + p.v * an.y
 
 
 def binet_repeated_root(p: SequenceParams, n: int) -> int:

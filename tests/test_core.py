@@ -5,6 +5,8 @@ implementations cannot share a bug.
 """
 
 import math
+import re
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -160,6 +162,19 @@ def test_digit_cap_edges():
     check_digit_cap(p, n)
     with pytest.raises(ResourceLimitError, match="above the 1000000-digit cap"):
         check_digit_cap(p, n + 1)
+    # up to 10^18 the figure is the float sum it always was; past it the
+    # growth is summed in ints and is at least (n - 1)*log10(phi), with no
+    # float overflow even at 10^400
+    with pytest.raises(ResourceLimitError, match="^G_1000000000000000000 may have up to 208987640249978720 digits"):
+        check_digit_cap(p, 10**18)
+    with localcontext() as ctx:
+        ctx.prec = 450
+        log_phi = (1 + Decimal(5).sqrt()).log10() - Decimal(2).log10()
+        for big in (10**20, 10**400):
+            with pytest.raises(ResourceLimitError) as refused:
+                check_digit_cap(p, big)
+            stated = int(re.search(r"up to (\d+) digits", str(refused.value)).group(1))
+            assert (big - 1) * log_phi <= stated < (big - 1) * log_phi * (1 + Decimal(10) ** -9)
     # repeated root 2 and complex roots of modulus sqrt(5)
     for q in (SequenceParams(1, 3, 4, -4), SequenceParams(2, 1, 2, -5)):
         n = _last_index_below_cap(q)
@@ -172,6 +187,7 @@ def test_digit_cap_passes_bounded_sequences():
     # roots of modulus 1 grow at most linearly: no index is over the cap
     for p in (SequenceParams(3, 5, 2, -1), SequenceParams(3, 5, 1, -1), SequenceParams(3, 5, 0, 1)):
         check_digit_cap(p, 10**100)
+        check_digit_cap(p, 10**400)
 
 
 HUGE = 10**5000

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import genfib.core
 from genfib import (
     DegenerateDiscriminantError,
     NondegenerateDiscriminantError,
@@ -12,10 +13,12 @@ from genfib import (
     binet_eval,
     binet_repeated_root,
     discriminant,
+    g_fast,
     g_iter,
     quad_mul,
     quad_pow,
 )
+from genfib.core import digit_count
 
 
 def test_discriminant_values():
@@ -75,6 +78,30 @@ def test_binet_matches_recurrence(u, v, a, b, n):
         assert type(got) is int and got == g_iter(p, n)
     else:
         assert binet_eval(p, n) == g_iter(p, n)
+
+
+@pytest.mark.parametrize("a, b, n", [(1, 1, 21000), (3, -1, 10500), (1, -3, 18500)],
+                         ids=["real-roots", "negative-b", "complex-roots"])
+def test_binet_past_the_str_limit(a, b, n):
+    # benchmark sizes: the values are past the interpreter's 4300-digit
+    # int -> str limit, and the doubling ladder is the reference here
+    p = SequenceParams(-2, 5, a, b)
+    value = binet_eval(p, n)
+    assert digit_count(value) > 4300
+    assert value == g_fast(p, n)
+
+
+def test_binet_does_not_use_the_doubling_ladder(monkeypatch):
+    # the closed form is an independent route beside g_iter and g_fast, so
+    # it must give every value with the F-ladder out of reach
+    def refuse(*args):
+        raise RuntimeError("binet_eval reached core._f_pair")
+
+    monkeypatch.setattr(genfib.core, "_f_pair", refuse)
+    for a, b in [(1, 1), (3, -1), (1, -3), (-2, 5), (0, 2)]:
+        for u, v in [(0, 1), (2, 1), (-3, 4)]:
+            p = SequenceParams(u, v, a, b)
+            assert [binet_eval(p, n) for n in range(30)] == [g_iter(p, n) for n in range(30)]
 
 
 def test_repeated_root_grid():
