@@ -7,6 +7,13 @@ the reference oracle) and by fast doubling (logarithmic time). The fast path
 is one iterative ladder that carries (F_k, F_{k+1}) over the bits of n; any
 G_n is then the split G_n = u*F_{n+1} + (v - a*u)*F_n.
 
+The direct recurrence `g_iter` walks up to 64 terms per step. The addition
+identity G_{m+n+1} = G_{m+1}*F_{n+1} + b*G_m*F_n at n = s - 1 and n = s maps
+(G_k, G_{k+1}) to (G_{k+s}, G_{k+s+1}) by four fixed multipliers b*F_{s-1},
+F_s, b*F_s and F_{s+1}, each below 2^60, which are read off the same
+one-term recurrence from (0, 1). It stays linear and shares no code with the
+doubling ladder. `g_prefix` keeps the plain one-term loop.
+
 Sizes are bounded before anything is evaluated: `check_digit_cap` refuses one
 term, and `check_prefix_cap` a set of prefixes, that could pass
 `EVAL_DIGIT_LIMIT` digits.
@@ -22,6 +29,11 @@ from .errors import DomainError, ResourceLimitError
 # Evaluating G_n is refused up front when its value could have more decimal
 # digits than this.
 EVAL_DIGIT_LIMIT = 10**6
+
+# g_iter's block step: at most this many terms, with every multiplier below
+# this bound (two 30-bit digits of a CPython int).
+_BLOCK_MAX = 64
+_BLOCK_MULT = 2**60
 
 
 @dataclass(frozen=True)
@@ -64,8 +76,9 @@ def digit_bound(p: SequenceParams, n: int) -> float:
     F_n = sum of alpha^k * beta^(n-1-k) over 0 <= k < n, so |F_n| <= n*R^(n-1)
     with R the larger root modulus, taken as 1 if it is smaller. Then
     G_n = v*F_n + b*u*F_{n-1} gives |G_n| <= (|v| + |b*u|) * n * R^(n-1), whose
-    log10, plus one, bounds the digit count. Past n = 10^18 the figure is an
-    int that cannot overflow or lose digits, and at least (n - 1)*log10(R).
+    log10, plus one, bounds the digit count. Once (n - 1)*log10(R) reaches
+    2^40, or past n = 10^18, the figure is an int that cannot overflow or
+    lose digits, and at least (n - 1)*log10(R).
     """
     _require_index(n)
     if n == 0:
@@ -78,9 +91,13 @@ def digit_bound(p: SequenceParams, n: int) -> float:
         twice = abs(p.a) + (sqrt(d) if d < 2**1000 else isqrt(d) + 1)
         log_r = log10(twice) - log10(2) if twice > 2 else 0.0
     head = log10(max(abs(p.v) + abs(p.b * p.u), 1)) + log10(n)
-    if n <= 10**18:
+    # log_r is 0 or at least log10(2)/2 for integer a, b, so its rounding is a
+    # few units in 2^-50 of itself, and the float sum below the switch is off
+    # by less than 2^-7 of a digit. From a growth of 2^40 on, the int path's
+    # raise of log_r by 2^-40 of itself adds a whole digit or more, which
+    # covers that rounding and the rounding of head.
+    if n <= 10**18 and (n - 1) * log_r < 2**40:
         return head + (n - 1) * log_r + 1
-    # log_r raised by 2^-40 of itself covers its own rounding
     num, den = (log_r * (1 + 2**-40)).as_integer_ratio()
     return ceil(head) + 1 - (1 - n) * num // den
 
@@ -126,13 +143,40 @@ def is_cquence(p: SequenceParams) -> bool:
 
 
 def g_iter(p: SequenceParams, n: int) -> int:
-    """G_n by the direct recurrence; the linear-time reference path."""
+    """G_n by the direct recurrence, s terms per step; the linear-time reference path.
+
+    The addition identity G_{m+n+1} = G_{m+1}*F_{n+1} + b*G_m*F_n, taken at
+    m = k with n = s - 1 and n = s, maps (G_k, G_{k+1}) to
+        G_{k+s}   = F_s*G_{k+1}     + b*F_{s-1}*G_k
+        G_{k+s+1} = F_{s+1}*G_{k+1} + b*F_s*G_k,
+    four multiplications by fixed small ints in place of s one-term steps.
+    F_{s-1}, F_s, F_{s+1} come from the same one-term recurrence from (0, 1).
+    s is the largest block up to _BLOCK_MAX with 2s < n whose multipliers,
+    and those of every smaller block, stay below _BLOCK_MULT; (n - 1) mod s
+    one-term steps finish the walk. With s = 1 only the one-term loop runs.
+    """
     _require_index(n)
     if n == 0:
         return p.u
+    a, b = p.a, p.b
+    # (F_{s-1}, F_s, F_{s+1}). Block s + 1 adds the multipliers b*F_{s+1} and
+    # F_{s+2} to those of block s; block 2's a*b and a^2 + b are both below
+    # _BLOCK_MULT only when block 1's a and b are.
+    s, f_prev, f, f_next = 1, 0, 1, a
+    while s < _BLOCK_MAX and 2 * s + 2 < n:
+        f_after = a * f_next + b * f
+        if abs(b * f_next) >= _BLOCK_MULT or abs(f_after) >= _BLOCK_MULT:
+            break
+        s, f_prev, f, f_next = s + 1, f, f_next, f_after
     lo, hi = p.u, p.v
-    for _ in range(n - 1):
-        lo, hi = hi, p.a * hi + p.b * lo
+    steps = n - 1
+    if s > 1:
+        bf_prev, bf = b * f_prev, b * f
+        for _ in range(steps // s):
+            lo, hi = bf_prev * lo + f * hi, bf * lo + f_next * hi
+        steps %= s
+    for _ in range(steps):
+        lo, hi = hi, a * hi + b * lo
     return hi
 
 

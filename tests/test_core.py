@@ -20,6 +20,8 @@ from genfib import (
     gcd_identity_grid,
     primitive_divisors,
 )
+import genfib.core
+import genfib.quadfield
 from genfib.core import EVAL_DIGIT_LIMIT, _f_pair, check_digit_cap, digit_bound, digit_count, int_text
 
 
@@ -59,6 +61,56 @@ def test_g_prefix_matches_pointwise():
     p = SequenceParams(2, -3, -1, 4)
     assert g_prefix(p, 25) == [g_iter(p, n) for n in range(26)]
     assert g_prefix(p, 0) == [2]
+
+
+# a, b on both sides of g_iter's 2^60 multiplier bound, with near-square
+# roots of it so that the bound is crossed part way up the block
+coef_st = st.one_of(
+    st.integers(-20, 20),
+    st.integers(-(2**31), 2**31),
+    st.integers(2**60 - 4, 2**60 + 4),
+    st.integers(-(2**60) - 4, -(2**60) + 4),
+    st.integers(-(2**62), 2**62),
+)
+seed_st = st.integers(-(2**70), 2**70)
+
+
+@given(seed_st, seed_st, coef_st, coef_st, st.integers(0, 700))
+@settings(max_examples=300)
+@example(1, -1, 2**30 - 1, 1, 700)
+@example(3, 5, 2**61, 3, 130)
+def test_g_iter_matches_one_step_oracle(u, v, a, b, n):
+    # g_prefix walks one term per step, so it checks every block of g_iter
+    p = SequenceParams(u, v, a, b)
+    assert g_iter(p, n) == g_prefix(p, n)[n]
+
+
+BLOCK_PAIRS = [(0, 0), (1, 0), (0, 1), (0, -1), (1, -1), (-1, -1), (2, -1), (2**61, 3)]
+BLOCK_INDICES = (0, 1, 2, 63, 64, 65, 127, 128, 129, 130, 1000)
+
+
+@pytest.mark.parametrize("a, b", BLOCK_PAIRS)
+def test_g_iter_block_edges(a, b):
+    # indices on either side of one and two 64-term blocks; periodic,
+    # linear, zero and one-term-fallback coefficients
+    for u, v in [(0, 1), (2, 1), (-3, 7)]:
+        p = SequenceParams(u, v, a, b)
+        oracle = g_prefix(p, 1000)
+        assert [g_iter(p, n) for n in BLOCK_INDICES] == [oracle[n] for n in BLOCK_INDICES]
+
+
+def test_g_iter_does_not_use_the_doubling_ladder(monkeypatch):
+    # the recurrence is an independent route beside g_fast and Binet, so it
+    # must give every value with the F-ladder and Z[omega] powers out of reach
+    def refuse(*args):
+        raise RuntimeError("g_iter reached a fast route")
+
+    monkeypatch.setattr(genfib.core, "_f_pair", refuse)
+    monkeypatch.setattr(genfib.quadfield, "quad_pow", refuse)
+    for a, b in [(1, 1), (3, -1), (1, -3), (2, -1), (2**61, 3)]:
+        for u, v in [(0, 1), (2, 1), (-3, 4)]:
+            p = SequenceParams(u, v, a, b)
+            assert [g_iter(p, n) for n in range(0, 300, 7)] == g_prefix(p, 300)[::7]
 
 
 params_st = st.tuples(
@@ -162,18 +214,19 @@ def test_digit_cap_edges():
     check_digit_cap(p, n)
     with pytest.raises(ResourceLimitError, match="above the 1000000-digit cap"):
         check_digit_cap(p, n + 1)
-    # up to 10^18 the figure is the float sum it always was; past it the
-    # growth is summed in ints and is at least (n - 1)*log10(phi), with no
-    # float overflow even at 10^400
-    with pytest.raises(ResourceLimitError, match="^G_1000000000000000000 may have up to 208987640249978720 digits"):
+    # from a growth of 2^40 digits on the figure is summed in ints and is at
+    # least the digit count of F_n, n*log10(phi) - log10(sqrt(5)), and at
+    # least (n - 1)*log10(phi), with no float overflow even at 10^400
+    with pytest.raises(ResourceLimitError, match="^G_1000000000000000000 may have up to 208987640250168768 digits"):
         check_digit_cap(p, 10**18)
     with localcontext() as ctx:
         ctx.prec = 450
         log_phi = (1 + Decimal(5).sqrt()).log10() - Decimal(2).log10()
-        for big in (10**20, 10**400):
+        for big in (5 * 10**17, 10**18, 10**20, 10**400):
             with pytest.raises(ResourceLimitError) as refused:
                 check_digit_cap(p, big)
             stated = int(re.search(r"up to (\d+) digits", str(refused.value)).group(1))
+            assert stated >= int(big * log_phi - Decimal(5).sqrt().log10()) + 1
             assert (big - 1) * log_phi <= stated < (big - 1) * log_phi * (1 + Decimal(10) ** -9)
     # repeated root 2 and complex roots of modulus sqrt(5)
     for q in (SequenceParams(1, 3, 4, -4), SequenceParams(2, 1, 2, -5)):
