@@ -10,6 +10,21 @@ fast-doubling evaluations, and on a whole max x max grid by
 F_0..F_max. The prefix takes O(max^2) digits, so a grid whose prefix could
 pass `EVAL_DIGIT_LIMIT` digits is refused before anything is built, by the
 `check_prefix_cap` of `core` that the addition grid of `identities` shares.
+Both sides of the identity are symmetric in m and n, so the grid walks only
+n >= m: a failure at (m, n) with m > n is also one at (n, m), earlier in
+row-major order.
+
+Two classes of sequence are divisibility sequences by proof, and
+`check_divisible_sequence` gives their verdict without building a term:
+  - b = 0: G_n = v*a^(n-1) for every n >= 1, so G_n | G_m whenever n | m
+    (a = 0 and v = 0 included, under 0 | 0);
+  - u = 0: G = v*F, and F_n | F_kn follows by induction on k from the
+    addition identity F_(kn+n) = F_(kn+1)*F_n + b*F_kn*F_(n-1), for every
+    integer a and b.
+For every other sequence the pair scan builds terms only as far as the pair
+under test needs, and passes over every n with G_n = +-1, since a unit
+divides every term. The point checks refuse an index whose value could pass
+`EVAL_DIGIT_LIMIT` digits before they evaluate anything.
 """
 
 from __future__ import annotations
@@ -17,11 +32,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .core import SequenceParams, check_prefix_cap, coprime_gate, f_fast, g_fast, g_prefix, is_cquence
+from .core import (
+    SequenceParams,
+    check_digit_cap,
+    check_prefix_cap,
+    coprime_gate,
+    f_fast,
+    g_fast,
+    g_prefix,
+    is_cquence,
+)
 from .errors import DomainError, HypothesisViolationError
 
 DIVISIBLE = "divisible"
 COUNTEREXAMPLE = "counterexample"
+
+# check_divisible_sequence tests the prefix cap only past this bound: every
+# prefix up to it is small, and the test would cost more than most scans.
+_UNCAPPED_BOUND = 64
 
 
 def divides(d: int, m: int) -> bool:
@@ -62,6 +90,7 @@ def check_f_divisible(a: int, b: int, n: int, k: int) -> bool:
     """F_n | F_{n*k}, under the divides() convention."""
     if n < 0 or k < 0:
         raise DomainError("n and k must be non-negative")
+    check_digit_cap(SequenceParams(0, 1, a, b), max(n, n * k))
     return divides(f_fast(a, b, n), f_fast(a, b, n * k))
 
 
@@ -77,6 +106,7 @@ def gcd_identity_check(a: int, b: int, m: int, n: int) -> bool:
     _require_gcd_identity_pair(a, b)
     if m < 1 or n < 1:
         raise DomainError("m and n must be positive")
+    check_digit_cap(SequenceParams(0, 1, a, b), max(m, n))
     return gcd(f_fast(a, b, m), f_fast(a, b, n)) == f_fast(a, b, gcd(m, n))
 
 
@@ -90,6 +120,13 @@ def gcd_identity_grid(a: int, b: int, top: int) -> tuple[int, tuple[int, int] | 
     F_0..F_top. For top <= 0 the grid is empty: nothing is checked, gated or
     built. Raises ResourceLimitError, before building anything, when the
     prefix could hold more than EVAL_DIGIT_LIMIT digits in all.
+
+    gcd(F_m, F_n) and F_gcd(m,n) are both symmetric in m and n, so a failure
+    at (m, n) with m > n means one at (n, m), which row-major order reaches
+    first. The first failure therefore has m <= n, and each row is walked
+    from its diagonal on; `checked` is still the row-major count
+    (m - 1)*top + n, or top^2 when no point fails. The diagonal stays in the
+    walk: gcd(x, x) = |x|, which is not x when x < 0.
     """
     if top < 1:
         return 0, None
@@ -97,13 +134,12 @@ def gcd_identity_grid(a: int, b: int, top: int) -> tuple[int, tuple[int, int] | 
     f = SequenceParams(0, 1, a, b)
     check_prefix_cap(("F", f, top))
     vals = g_prefix(f, top)
-    checked = 0
     for m in range(1, top + 1):
-        for n in range(1, top + 1):
-            checked += 1
-            if gcd(vals[m], vals[n]) != vals[gcd(m, n)]:
-                return checked, (m, n)
-    return checked, None
+        f_m = vals[m]
+        for n in range(m, top + 1):
+            if gcd(f_m, vals[n]) != vals[gcd(m, n)]:
+                return (m - 1) * top + n, (m, n)
+    return top * top, None
 
 
 @dataclass(frozen=True)
@@ -130,12 +166,42 @@ def check_divisible_sequence(p: SequenceParams, bound: int) -> DivisibilityRepor
 
     Scans n ascending, then m ascending, and reports the first violating
     pair as the witness. Pairs with m = n are skipped as trivially true.
+
+    Two classes are divisible at every index, so they are reported DIVISIBLE
+    without a term being built:
+      - b = 0: G_n = v*a^(n-1) for every n >= 1, so G_m = G_n*a^(m-n) and
+        G_n | G_m whenever n | m. This holds for a = 0 and v = 0 too, since
+        0 divides 0.
+      - u = 0: G = v*F. By induction on k, the addition identity
+        F_(kn+n) = F_(kn+1)*F_n + b*F_kn*F_(n-1) gives F_n | F_(kn+n) from
+        F_n | F_kn, for every integer a and b, so G_n | G_kn.
+    Otherwise G_0, G_1, ... are built only as far as the pair under test
+    needs. An n with G_n = +-1 is passed over, since a unit divides every
+    term, and n stops at bound // 2, past which no m = 2n, 3n, ... is in
+    range. The witness is the one the full scan gives.
+
+    Outside the two classes, raises ResourceLimitError before any term is
+    built when bound is above _UNCAPPED_BOUND and the prefix G_0..G_bound
+    could hold more than EVAL_DIGIT_LIMIT digits.
     """
     _require_bound(bound)
-    vals = g_prefix(p, bound)
-    for n in range(1, bound + 1):
+    a, b = p.a, p.b
+    if b == 0 or p.u == 0:
+        return DivisibilityReport(p, bound, DIVISIBLE, None)
+    if bound > _UNCAPPED_BOUND:
+        check_prefix_cap(("G", p, bound))
+    vals = [p.u, p.v]
+    grow = vals.append
+    for n in range(1, bound // 2 + 1):
+        # vals holds G_0..G_(n-1) at least
+        if len(vals) == n:
+            grow(a * vals[-1] + b * vals[-2])
         d = vals[n]
+        if d == 1 or d == -1:
+            continue
         for m in range(2 * n, bound + 1, n):
+            while len(vals) <= m:
+                grow(a * vals[-1] + b * vals[-2])
             # not divides(d, G_m), inlined: 0 divides only 0
             if vals[m] % d if d else vals[m]:
                 return DivisibilityReport(p, bound, COUNTEREXAMPLE, (n, m))
@@ -147,6 +213,8 @@ def check_gm_divides_fm(p: SequenceParams, m: int) -> bool:
     _require_cquence(p)
     if m < 0:
         raise DomainError("m must be non-negative")
+    # the digit bound of G_m is never below that of F_m
+    check_digit_cap(p, m)
     return divides(g_fast(p, m), f_fast(p.a, p.b, m))
 
 
@@ -155,6 +223,8 @@ def check_ccop(p: SequenceParams, m: int, q: int) -> bool:
     _require_cquence(p)
     if m < 1 or q < 1:
         raise DomainError("m and q must be positive")
+    check_digit_cap(p, m)
+    check_digit_cap(SequenceParams(0, 1, p.a, p.b), m * q - 1)
     gate = check_divisible_sequence(p, m * q)
     if not gate.is_divisible:
         raise HypothesisViolationError(

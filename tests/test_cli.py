@@ -153,6 +153,17 @@ def test_scan_divisible_refuses_bound_zero(capsys, grid):
     assert run_in_process(capsys, argv) == ("", "error: bound must be positive\n", 2)
 
 
+def test_scan_divisible_refuses_a_prefix_past_the_cap(capsys):
+    # (1, 2 | 1, 1) is decided by no closed form, so its prefix to the bound
+    # is tested against the cap before any term is built
+    argv = ["scan-divisible", "--u-range", "1..1", "--v-range", "2..2", "--a-range", "1..1",
+            "--b-range", "1..1", "--bound", str(10**6)]
+    out, err, code = run_in_process(capsys, argv)
+    assert (code, out) == (3, "")
+    assert err == ("resource limit: G_0..G_1000000 may have up to 1000001 x 208994 digits,"
+                   " above the 1000000-digit cap\n")
+
+
 def test_scan_divisible_records():
     proc = run_cli("scan-divisible", "--u-range", "0..2", "--v-range", "1..2",
                    "--a-range", "1..2", "--b-range", "0..2", "--bound", "20")

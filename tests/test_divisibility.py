@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from genfib import (
     COUNTEREXAMPLE,
     DIVISIBLE,
+    DivisibilityReport,
     DomainError,
     HypothesisViolationError,
     ResourceLimitError,
@@ -128,6 +129,9 @@ def _outcome(check, *args):
 
 @given(st.integers(-4, 4), st.integers(-4, 4), st.integers(-1, 25))
 @settings(max_examples=300)
+@example(a=1, b=-2, top=25)  # first failure on the diagonal: (53, (3, 3))
+@example(a=1, b=-1, top=25)  # (79, (4, 4))
+@example(a=3, b=-4, top=25)  # (105, (5, 5))
 def test_gcd_identity_grid_matches_point_checks(a, b, top):
     # b = 0, non-coprime pairs and empty grids included; a negative a gives
     # negative terms, so gcd(F_m, F_m) = |F_m| != F_m is a real violation
@@ -184,13 +188,73 @@ def _first_witness(p, bound):
     return None
 
 
-@given(st.integers(-4, 4), st.integers(-4, 4), st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 20))
+@given(st.integers(-4, 4), st.integers(-4, 4), st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 60))
 @settings(max_examples=300)
 @example(u=2, v=-1, a=2, b=1, bound=30)  # G_2 = 0 divides only 0, and G_4 = -2
 @example(u=0, v=0, a=1, b=1, bound=10)  # every term is 0
+@example(u=-4, v=-1, a=-3, b=-3, bound=60)  # the unit G_1 is passed over; witness (2, 4)
+@example(u=-4, v=-3, a=-2, b=-3, bound=60)  # G_4 = 0 and G_8 = 81: witness (4, 8)
+@example(u=3, v=-3, a=2, b=0, bound=60)  # b = 0: divisible by closed form
+@example(u=0, v=3, a=2, b=-3, bound=60)  # u = 0: G = 3F, divisible by closed form
 def test_divisible_sequence_witness_matches_divides(u, v, a, b, bound):
     p = SequenceParams(u, v, a, b)
     assert check_divisible_sequence(p, bound).witness == _first_witness(p, bound)
+
+
+def test_closed_form_classes_hold_on_the_reference_scan():
+    # the two classes reported divisible without a term being built
+    box = range(-5, 6)
+    for x in box:
+        for y in box:
+            for z in box:
+                assert _first_witness(SequenceParams(x, y, z, 0), 120) is None, (x, y, z, 0)
+                assert _first_witness(SequenceParams(0, x, y, z), 120) is None, (0, x, y, z)
+
+
+def _reference_scan(u_range, v_range, a_range, b_range, bound):
+    box = [range(lo, hi + 1) for lo, hi in (u_range, v_range, a_range, b_range)]
+    survivors = []
+    for u in box[0]:
+        for v in box[1]:
+            for a in box[2]:
+                for b in box[3]:
+                    p = SequenceParams(u, v, a, b)
+                    if (is_cquence(p) if b else divides(u, v)) and _first_witness(p, bound) is None:
+                        survivors.append((p, DivisibilityReport(p, bound, DIVISIBLE, None)))
+    return survivors
+
+
+@pytest.mark.parametrize("grid", [
+    ((-4, 2), (-3, 3), (-2, 3), (-1, 5)),
+    ((-1, 5), (-4, 2), (-4, 1), (-2, 4)),
+])
+def test_scan_divisible_matches_reference_scan(grid):
+    # grids of the shape the benchmark's divisibility scans draw
+    assert scan_divisible(*grid, 30) == _reference_scan(*grid, 30)
+
+
+def test_divisible_sequence_refuses_a_prefix_past_the_cap():
+    # G_n = 2^n is divisible, so no witness would stop the walk
+    p = SequenceParams(1, 2, 4, -4)
+    with pytest.raises(ResourceLimitError, match="-digit cap"):
+        check_divisible_sequence(p, 10**6)
+    assert check_divisible_sequence(p, 200).is_divisible
+    # the closed forms need no prefix, so they are never refused
+    assert check_divisible_sequence(SequenceParams(1, 2, 4, 0), 10**6).is_divisible
+    assert check_divisible_sequence(SequenceParams(0, 2, 4, -4), 10**6).is_divisible
+
+
+@pytest.mark.parametrize("check, args", [
+    (check_f_divisible, (1, 1, 10**12, 1)),
+    (check_f_divisible, (1, 1, 1, 10**12)),
+    (gcd_identity_check, (1, 1, 3, 10**12)),
+    (check_gm_divides_fm, (SequenceParams(0, 1, 1, 1), 10**12)),
+    (check_ccop, (SequenceParams(0, 1, 1, 1), 10**12, 1)),
+    (check_ccop, (SequenceParams(0, 1, 1, 1), 1, 10**12)),
+], ids=["f_divisible_n", "f_divisible_k", "gcd_identity_check", "gm_divides_fm", "ccop_m", "ccop_q"])
+def test_point_checks_refuse_huge_indices(check, args):
+    with pytest.raises(ResourceLimitError, match="-digit cap"):
+        check(*args)
 
 
 @given(st.integers(-6, 6), st.integers(-6, 6), st.integers(-6, 6), st.integers(-6, 6))
