@@ -18,7 +18,7 @@ import sys
 from dataclasses import asdict
 from functools import cache, partial
 
-from .core import SequenceParams, check_digit_cap, g_fast, g_iter
+from .core import SequenceParams, g_fast, g_iter
 from .diophantine import (
     Family,
     alternating_witnesses,
@@ -68,16 +68,11 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 def _cmd_compute(args):
     p, echo = _seed(args)
-    check_digit_cap(p, args.n)
-    if args.method == "iter":
-        value = g_iter(p, args.n)
-    elif args.method == "fast":
-        value = g_fast(p, args.n)
-    elif discriminant(p.a, p.b) == 0:
-        value = binet_repeated_root(p, args.n)
+    if args.method == "binet":
+        evaluate = binet_repeated_root if discriminant(p.a, p.b) == 0 else binet_eval
     else:
-        value = binet_eval(p, args.n)
-    yield _rec("compute", method=args.method, n=args.n, value=value, **echo)
+        evaluate = g_iter if args.method == "iter" else g_fast
+    yield _rec("compute", method=args.method, n=args.n, value=evaluate(p, args.n), **echo)
 
 
 def _cmd_identity_addition(args):

@@ -15,8 +15,10 @@ one-term recurrence from (0, 1). It stays linear and shares no code with the
 doubling ladder. `g_prefix` keeps the plain one-term loop.
 
 Sizes are bounded before anything is evaluated: `check_digit_cap` refuses one
-term, and `check_prefix_cap` a set of prefixes, that could pass
-`EVAL_DIGIT_LIMIT` digits.
+term, which every evaluator here and in `quadfield` checks itself, and
+`check_prefix_cap` a set of prefixes, which the code that builds them checks,
+that could pass `EVAL_DIGIT_LIMIT` digits. `g_prefix` is the uncapped reference.
+A negative index is refused first, with DomainError, by `digit_bound`.
 """
 
 from __future__ import annotations
@@ -155,7 +157,7 @@ def g_iter(p: SequenceParams, n: int) -> int:
     and those of every smaller block, stay below _BLOCK_MULT; (n - 1) mod s
     one-term steps finish the walk. With s = 1 only the one-term loop runs.
     """
-    _require_index(n)
+    check_digit_cap(p, n)
     if n == 0:
         return p.u
     a, b = p.a, p.b
@@ -181,7 +183,7 @@ def g_iter(p: SequenceParams, n: int) -> int:
 
 
 def g_prefix(p: SequenceParams, n_max: int) -> list[int]:
-    """[G_0, ..., G_{n_max}] in one linear pass."""
+    """[G_0, ..., G_{n_max}] in one linear pass, with no size cap."""
     _require_index(n_max)
     out = [p.u]
     lo, hi = p.u, p.v
@@ -205,7 +207,7 @@ def _f_pair(a: int, b: int, n: int) -> tuple[int, int]:
 
 def f_fast(a: int, b: int, n: int) -> int:
     """F_n for seeds (0, 1), in O(log n) doubling steps."""
-    _require_index(n)
+    check_digit_cap(SequenceParams(0, 1, a, b), n)
     return _f_pair(a, b, n)[0]
 
 
@@ -215,6 +217,6 @@ def g_fast(p: SequenceParams, n: int) -> int:
     This is G_n = v*F_n + b*u*F_{n-1} with b*F_{n-1} = F_{n+1} - a*F_n, so it
     holds for every n >= 0 and every b, b = 0 included.
     """
-    _require_index(n)
+    check_digit_cap(p, n)
     f_n, f_next = _f_pair(p.a, p.b, n)
     return p.u * f_next + (p.v - p.a * p.u) * f_n

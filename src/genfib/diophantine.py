@@ -23,7 +23,7 @@ from itertools import count, product
 from math import gcd, isqrt
 from operator import itemgetter
 
-from .core import SequenceParams, g_prefix
+from .core import SequenceParams, check_prefix_cap, g_prefix
 from .errors import DomainError, HypothesisViolationError
 from .identities import invariant_quantity
 from .divisors import Factorization, _small_primes, factorize
@@ -355,11 +355,12 @@ def _require_square_invariant(p: SequenceParams) -> None:
 def _alternating_terms(
     p: SequenceParams, k_max: int, parity: str
 ) -> Iterator[tuple[int, int]]:
-    # (i, G_i) at the alternating indices, after the square-invariant gate;
-    # a negative term raises when the walk reaches it
+    # (i, G_i) at the alternating indices, after the square-invariant gate
+    # and the prefix cap; a negative term raises when the walk reaches it
     _require_square_invariant(p)
     indices = _alternating_indices(k_max, parity)
-    vals = g_prefix(p, max(indices))
+    check_prefix_cap(("G", p, indices[-1]))
+    vals = g_prefix(p, indices[-1])
     for i in indices:
         if vals[i] < 0:
             raise DomainError(f"G_{i} = {vals[i]} is negative")

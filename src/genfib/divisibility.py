@@ -23,8 +23,8 @@ Two classes of sequence are divisibility sequences by proof, and
     integer a and b.
 For every other sequence the pair scan builds terms only as far as the pair
 under test needs, and passes over every n with G_n = +-1, since a unit
-divides every term. The point checks refuse an index whose value could pass
-`EVAL_DIGIT_LIMIT` digits before they evaluate anything.
+divides every term; past G_(_UNCAPPED_BOUND) it tests each stretch of the
+prefix against the cap first. The point checks leave the cap to `f_fast` and `g_fast`.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from math import gcd
 
 from .core import (
     SequenceParams,
-    check_digit_cap,
     check_prefix_cap,
     coprime_gate,
     f_fast,
@@ -47,7 +46,7 @@ from .errors import DomainError, HypothesisViolationError
 DIVISIBLE = "divisible"
 COUNTEREXAMPLE = "counterexample"
 
-# check_divisible_sequence tests the prefix cap only past this bound: every
+# check_divisible_sequence tests the prefix cap only past this index: every
 # prefix up to it is small, and the test would cost more than most scans.
 _UNCAPPED_BOUND = 64
 
@@ -74,6 +73,7 @@ def check_b_coprime(p: SequenceParams, n_max: int) -> bool:
     _require_cquence(p)
     if n_max < 0:
         raise DomainError("n_max must be non-negative")
+    check_prefix_cap(("G", p, n_max))
     return all(gcd(p.b, g) == 1 for g in g_prefix(p, n_max))
 
 
@@ -82,6 +82,7 @@ def check_consecutive_coprime(p: SequenceParams, n_max: int) -> bool:
     _require_cquence(p)
     if n_max < 0:
         raise DomainError("n_max must be non-negative")
+    check_prefix_cap(("G", p, n_max + 1))
     vals = g_prefix(p, n_max + 1)
     return all(gcd(vals[n + 1], vals[n]) == 1 for n in range(n_max + 1))
 
@@ -90,8 +91,8 @@ def check_f_divisible(a: int, b: int, n: int, k: int) -> bool:
     """F_n | F_{n*k}, under the divides() convention."""
     if n < 0 or k < 0:
         raise DomainError("n and k must be non-negative")
-    check_digit_cap(SequenceParams(0, 1, a, b), max(n, n * k))
-    return divides(f_fast(a, b, n), f_fast(a, b, n * k))
+    f_nk = f_fast(a, b, n * k)  # the larger index when k >= 1: the one a refusal names
+    return divides(f_fast(a, b, n), f_nk)
 
 
 def _require_gcd_identity_pair(a: int, b: int) -> None:
@@ -106,8 +107,8 @@ def gcd_identity_check(a: int, b: int, m: int, n: int) -> bool:
     _require_gcd_identity_pair(a, b)
     if m < 1 or n < 1:
         raise DomainError("m and n must be positive")
-    check_digit_cap(SequenceParams(0, 1, a, b), max(m, n))
-    return gcd(f_fast(a, b, m), f_fast(a, b, n)) == f_fast(a, b, gcd(m, n))
+    f_top = f_fast(a, b, max(m, n))  # the larger index first: the one a refusal names
+    return gcd(f_top, f_fast(a, b, min(m, n))) == f_fast(a, b, gcd(m, n))
 
 
 def gcd_identity_grid(a: int, b: int, top: int) -> tuple[int, tuple[int, int] | None]:
@@ -180,30 +181,35 @@ def check_divisible_sequence(p: SequenceParams, bound: int) -> DivisibilityRepor
     term, and n stops at bound // 2, past which no m = 2n, 3n, ... is in
     range. The witness is the one the full scan gives.
 
-    Outside the two classes, raises ResourceLimitError before any term is
-    built when bound is above _UNCAPPED_BOUND and the prefix G_0..G_bound
-    could hold more than EVAL_DIGIT_LIMIT digits.
+    Outside the two classes, the walk builds G_0..G_(_UNCAPPED_BOUND)
+    untested, then grows in stages that end at twice the last end, or at
+    bound. Each stage's prefix goes through `check_prefix_cap` before its
+    first term is built, so a walk that stops first is never refused.
     """
     _require_bound(bound)
     a, b = p.a, p.b
     if b == 0 or p.u == 0:
         return DivisibilityReport(p, bound, DIVISIBLE, None)
-    if bound > _UNCAPPED_BOUND:
-        check_prefix_cap(("G", p, bound))
     vals = [p.u, p.v]
     grow = vals.append
+    # every term built lies in G_0..G_stage; G_n and G_(m-n) are built, so
+    # m <= 2*stage and one doubling reaches m
+    stage = _UNCAPPED_BOUND
     for n in range(1, bound // 2 + 1):
-        # vals holds G_0..G_(n-1) at least
-        if len(vals) == n:
-            grow(a * vals[-1] + b * vals[-2])
-        d = vals[n]
-        if d == 1 or d == -1:
-            continue
-        for m in range(2 * n, bound + 1, n):
-            while len(vals) <= m:
-                grow(a * vals[-1] + b * vals[-2])
+        # m = n reads the divisor G_n; m = 2n, 3n, ... the terms it must divide
+        for m in range(n, bound + 1, n):
+            if len(vals) <= m:
+                if m > stage:
+                    stage = min(2 * stage, bound)
+                    check_prefix_cap(("G", p, stage))
+                while len(vals) <= m:
+                    grow(a * vals[-1] + b * vals[-2])
+            if m == n:
+                d = vals[n]
+                if d == 1 or d == -1:
+                    break
             # not divides(d, G_m), inlined: 0 divides only 0
-            if vals[m] % d if d else vals[m]:
+            elif vals[m] % d if d else vals[m]:
                 return DivisibilityReport(p, bound, COUNTEREXAMPLE, (n, m))
     return DivisibilityReport(p, bound, DIVISIBLE, None)
 
@@ -213,8 +219,7 @@ def check_gm_divides_fm(p: SequenceParams, m: int) -> bool:
     _require_cquence(p)
     if m < 0:
         raise DomainError("m must be non-negative")
-    # the digit bound of G_m is never below that of F_m
-    check_digit_cap(p, m)
+    # G_m first: its digit bound is never below that of F_m
     return divides(g_fast(p, m), f_fast(p.a, p.b, m))
 
 
@@ -223,14 +228,14 @@ def check_ccop(p: SequenceParams, m: int, q: int) -> bool:
     _require_cquence(p)
     if m < 1 or q < 1:
         raise DomainError("m and q must be positive")
-    check_digit_cap(p, m)
-    check_digit_cap(SequenceParams(0, 1, p.a, p.b), m * q - 1)
+    # both terms before the gate, which a huge m or q could fail on instead
+    g_m, f_mq = g_fast(p, m), f_fast(p.a, p.b, m * q - 1)
     gate = check_divisible_sequence(p, m * q)
     if not gate.is_divisible:
         raise HypothesisViolationError(
             f"sequence is not divisible up to {m * q}; witness {gate.witness}"
         )
-    return gcd(g_fast(p, m), f_fast(p.a, p.b, m * q - 1)) == 1
+    return gcd(g_m, f_mq) == 1
 
 
 def scan_divisible(

@@ -52,7 +52,7 @@ from functools import lru_cache, partial, wraps
 from itertools import compress
 from math import gcd, isqrt, prod
 
-from .core import EVAL_DIGIT_LIMIT, SequenceParams, check_digit_cap, digit_count, f_fast, int_text
+from .core import digit_count, f_fast, int_text
 from .errors import DomainError, HypothesisViolationError, ResourceLimitError, RhoBudgetError
 
 # F_n values above this many decimal digits are not factored; callers see a
@@ -352,11 +352,7 @@ def _imprimitive_primes(a: int, b: int, n: int) -> set[int]:
 @_memoised
 def _factor_f(a: int, b: int, n: int) -> Factorization:
     """Factorization of F_n, memoised; a ResourceLimitError is memoised too."""
-    # F_n <= (a + b)^(n - 1) has fewer than n * bits(a + b) bits, so it is
-    # under the cap while that is at most EVAL_DIGIT_LIMIT; the digit bound,
-    # which costs more than evaluating a small F_n, is computed only past it
-    if n * (a + b).bit_length() > EVAL_DIGIT_LIMIT:
-        check_digit_cap(SequenceParams(0, 1, a, b), n)
+    # f_fast refuses an n whose F_n could pass the digit cap before evaluating
     fn = f_fast(a, b, n)
     if fn >= 10**DIGIT_LIMIT:
         raise ResourceLimitError(f"F_{n} has {digit_count(fn)} digits, above the {DIGIT_LIMIT}-digit cap")

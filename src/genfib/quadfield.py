@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import SequenceParams, _require_index
+from .core import SequenceParams, _require_index, check_digit_cap
 from .errors import (
     DegenerateDiscriminantError,
     NondegenerateDiscriminantError,
@@ -96,7 +96,7 @@ def binet_eval(p: SequenceParams, n: int) -> int:
     differences are Y and X times alpha - beta = 2w - a, and G_n = u*X + v*Y
     with no division. n = 0 yields +u, which the recurrence demands.
     """
-    _require_index(n)
+    check_digit_cap(p, n)
     if discriminant(p.a, p.b) == 0:
         raise DegenerateDiscriminantError(
             f"(a,b)=({p.a},{p.b}) has a repeated root; use binet_repeated_root"
@@ -112,7 +112,7 @@ def binet_repeated_root(p: SequenceParams, n: int) -> int:
     so alpha = a // 2 is exact. n = 0 is returned from the seed directly,
     which also covers alpha = 0.
     """
-    _require_index(n)
+    check_digit_cap(p, n)
     if discriminant(p.a, p.b) != 0:
         raise NondegenerateDiscriminantError(
             f"(a,b)=({p.a},{p.b}) has distinct roots; use binet_eval"

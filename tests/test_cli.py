@@ -154,13 +154,23 @@ def test_scan_divisible_refuses_bound_zero(capsys, grid):
 
 
 def test_scan_divisible_refuses_a_prefix_past_the_cap(capsys):
-    # (1, 2 | 1, 1) is decided by no closed form, so its prefix to the bound
-    # is tested against the cap before any term is built
-    argv = ["scan-divisible", "--u-range", "1..1", "--v-range", "2..2", "--a-range", "1..1",
-            "--b-range", "1..1", "--bound", str(10**6)]
-    out, err, code = run_in_process(capsys, argv)
+    flags = ("--u-range", "--v-range", "--a-range", "--b-range")
+
+    def scan(*grid):
+        argv = ["scan-divisible", *(w for pair in zip(flags, grid) for w in pair), "--bound", str(10**6)]
+        return run_in_process(capsys, argv)
+
+    # (1, 2 | 1, 1) is decided by no closed form, but it fails at (1, 2):
+    # the walk builds three terms, and only a walk past G_64 tests the cap
+    out, err, code = scan("1..1", "2..2", "1..1", "1..1")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"bound": 10**6, "kind": "scan-summary", "scan": "divisible",
+                               "status": "ok", "survivors": 0}
+    # every term of (1, 1 | 0, 1) is a unit, so the walk goes on to the
+    # stage whose prefix could pass the cap, and stops there
+    out, err, code = scan("1..1", "1..1", "0..0", "1..1")
     assert (code, out) == (3, "")
-    assert err == ("resource limit: G_0..G_1000000 may have up to 1000001 x 208994 digits,"
+    assert err == ("resource limit: G_0..G_262144 may have up to 262145 x 6 digits,"
                    " above the 1000000-digit cap\n")
 
 
@@ -288,6 +298,16 @@ def test_alt_bisquable_violated_exit():
     assert proc.returncode == 1
     bad = [r for r in records(proc) if r["status"] == "violated"]
     assert [(r["n"], r["value"]) for r in bad] == [(4, 3), (8, 21), (10, 55)]
+
+
+def test_alt_bisquable_refuses_a_prefix_past_the_cap(capsys):
+    # G_0..G_199999999 is tested against the cap before any term is built
+    argv = ["alt-bisquable", "--u", "0", "--v", "1", "--a", "1", "--b", "1", "--parity", "odd",
+            "--k-max", "100000000"]
+    out, err, code = run_in_process(capsys, argv)
+    assert (code, out) == (3, "")
+    assert err == ("resource limit: G_0..G_199999999 may have up to 200000000 x 41797536 digits,"
+                   " above the 1000000-digit cap\n")
 
 
 def test_alt_bisquable_ok_exit():

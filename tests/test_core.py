@@ -15,7 +15,13 @@ from genfib import DomainError, SequenceParams, f_fast, g_fast, g_iter, g_prefix
 from genfib import (
     ResourceLimitError,
     addition_grid,
+    addition_sides,
+    alternating_witnesses,
+    binet_eval,
+    binet_repeated_root,
+    check_alternating_bisquable,
     check_tau_bounds,
+    determinant_sides,
     factorize,
     gcd_identity_grid,
     primitive_divisors,
@@ -255,8 +261,22 @@ FIB_PARAMS = SequenceParams(0, 1, 1, 1)
     (lambda: next(addition_grid(FIB_PARAMS, HUGE, 1)), ResourceLimitError),
     (lambda: g_fast(FIB_PARAMS, -HUGE), DomainError),
     (lambda: factorize(-HUGE), DomainError),
+    # every evaluator makes the one-term check itself, after the sign check
+    (lambda: g_fast(FIB_PARAMS, HUGE), ResourceLimitError),
+    (lambda: f_fast(1, 1, HUGE), ResourceLimitError),
+    (lambda: g_iter(FIB_PARAMS, HUGE), ResourceLimitError),
+    (lambda: binet_eval(FIB_PARAMS, HUGE), ResourceLimitError),
+    (lambda: binet_repeated_root(SequenceParams(0, 1, 4, -4), HUGE), ResourceLimitError),
+    (lambda: binet_eval(FIB_PARAMS, -HUGE), DomainError),
+    (lambda: addition_sides(FIB_PARAMS, HUGE, 1), ResourceLimitError),
+    (lambda: determinant_sides(FIB_PARAMS, HUGE), ResourceLimitError),
+    # the alternating-index checks test their prefix with check_prefix_cap
+    (lambda: check_alternating_bisquable(FIB_PARAMS, HUGE, "odd"), ResourceLimitError),
+    (lambda: alternating_witnesses(FIB_PARAMS, HUGE, "even"), ResourceLimitError),
 ], ids=["gcd_identity_grid", "check_digit_cap", "check_tau_bounds", "primitive_divisors",
-        "addition_grid", "g_fast", "factorize"])
+        "addition_grid", "g_fast", "factorize", "g_fast_cap", "f_fast", "g_iter", "binet_eval",
+        "binet_repeated_root", "binet_eval_negative", "addition_sides", "determinant_sides",
+        "check_alternating_bisquable", "alternating_witnesses"])
 def test_huge_ints_are_refused_by_their_digit_count(call, error):
     # str() of an int past the interpreter's 4300-digit limit raises
     # ValueError, so the refusal names such an int by its digit count

@@ -196,6 +196,11 @@ def _first_witness(p, bound):
 @example(u=-4, v=-3, a=-2, b=-3, bound=60)  # G_4 = 0 and G_8 = 81: witness (4, 8)
 @example(u=3, v=-3, a=2, b=0, bound=60)  # b = 0: divisible by closed form
 @example(u=0, v=3, a=2, b=-3, bound=60)  # u = 0: G = 3F, divisible by closed form
+# bounds past G_64, where the walk tests its prefix in stages to 128, 256, bound
+@example(u=1, v=2, a=4, b=-4, bound=300)  # G_n = 2^n: divisible
+@example(u=1, v=1, a=0, b=1, bound=300)  # every term is 1, so every n is passed over
+@example(u=1, v=-1, a=0, b=1, bound=257)  # the terms alternate 1, -1
+@example(u=1, v=1, a=2, b=-1, bound=129)  # G_n = u + n*(v - u) = 1
 def test_divisible_sequence_witness_matches_divides(u, v, a, b, bound):
     p = SequenceParams(u, v, a, b)
     assert check_divisible_sequence(p, bound).witness == _first_witness(p, bound)
@@ -234,14 +239,29 @@ def test_scan_divisible_matches_reference_scan(grid):
 
 
 def test_divisible_sequence_refuses_a_prefix_past_the_cap():
-    # G_n = 2^n is divisible, so no witness would stop the walk
+    # G_n = 2^n is divisible, so no witness would stop the walk; its prefix
+    # is tested in stages that end at 128, 256, ..., and the one to 2048 is
+    # the first past the cap
     p = SequenceParams(1, 2, 4, -4)
-    with pytest.raises(ResourceLimitError, match="-digit cap"):
+    with pytest.raises(ResourceLimitError, match=r"^G_0\.\.G_2048 may have up to 2049 x 621 digits"):
         check_divisible_sequence(p, 10**6)
     assert check_divisible_sequence(p, 200).is_divisible
+    # every term of (1, 1 | 0, 1) is 1, so the walk grows one unit term per
+    # n; those steps enter the stages too
+    with pytest.raises(ResourceLimitError, match=r"^G_0\.\.G_262144 may have up to "):
+        check_divisible_sequence(SequenceParams(1, 1, 0, 1), 10**6)
+    assert check_divisible_sequence(SequenceParams(1, 1, 0, 1), 1000).is_divisible
     # the closed forms need no prefix, so they are never refused
     assert check_divisible_sequence(SequenceParams(1, 2, 4, 0), 10**6).is_divisible
     assert check_divisible_sequence(SequenceParams(0, 2, 4, -4), 10**6).is_divisible
+
+
+def test_divisible_sequence_that_fails_early_is_decided_at_any_bound():
+    # the walk stops at its witness, long before a prefix to the bound could
+    # pass the cap
+    for p, witness in ((SequenceParams(1, 1, 1, -1), (2, 4)), (SequenceParams(1, 2, 1, 1), (1, 2))):
+        report = check_divisible_sequence(p, 10**6)
+        assert (report.verdict, report.witness) == (COUNTEREXAMPLE, witness)
 
 
 @pytest.mark.parametrize("check, args", [
@@ -251,7 +271,11 @@ def test_divisible_sequence_refuses_a_prefix_past_the_cap():
     (check_gm_divides_fm, (SequenceParams(0, 1, 1, 1), 10**12)),
     (check_ccop, (SequenceParams(0, 1, 1, 1), 10**12, 1)),
     (check_ccop, (SequenceParams(0, 1, 1, 1), 1, 10**12)),
-], ids=["f_divisible_n", "f_divisible_k", "gcd_identity_check", "gm_divides_fm", "ccop_m", "ccop_q"])
+    (check_ccop, (SequenceParams(1, 2, 1, 1), 10**12, 1)),
+    (check_b_coprime, (SequenceParams(0, 1, 1, 1), 10**12)),
+    (check_consecutive_coprime, (SequenceParams(0, 1, 1, 1), 10**12)),
+], ids=["f_divisible_n", "f_divisible_k", "gcd_identity_check", "gm_divides_fm", "ccop_m", "ccop_q",
+        "ccop_m_not_divisible", "b_coprime", "consecutive_coprime"])
 def test_point_checks_refuse_huge_indices(check, args):
     with pytest.raises(ResourceLimitError, match="-digit cap"):
         check(*args)

@@ -8,6 +8,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+import genfib.core
 from genfib import divisors
 from genfib import (
     DomainError,
@@ -347,7 +348,7 @@ def test_huge_indices_are_refused_before_evaluation(monkeypatch):
     def refuse(*args):
         raise AssertionError("F_n was evaluated")
 
-    monkeypatch.setattr(divisors, "f_fast", refuse)
+    monkeypatch.setattr(genfib.core, "_f_pair", refuse)
     for call in (partial(check_tau_bounds, 1, 1, 10**15), partial(check_tau_prime_power, 1, 1, 3, 40),
                  partial(primitive_divisors, 1, 1, 10**12)):
         with pytest.raises(ResourceLimitError, match="above the 1000000-digit cap"):

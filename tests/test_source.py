@@ -47,6 +47,21 @@ def test_no_len_of_str():
     assert found == []
 
 
+def test_digit_cap_is_checked_only_by_the_evaluators():
+    # the evaluators of core and quadfield refuse an over-cap index
+    # themselves, so a call site that checks it again is redundant
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name not in ("core.py", "quadfield.py")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and (node.func.id if isinstance(node.func, ast.Name)
+             else node.func.attr if isinstance(node.func, ast.Attribute) else None) == "check_digit_cap"
+    ]
+    assert found == []
+
+
 def test_import_builds_no_lazy_tables():
     # the p-1/p+1 tables and the CLI parser are built on first use, so
     # importing the package stays as cheap as it was before they existed
