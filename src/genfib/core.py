@@ -14,11 +14,11 @@ F_s, b*F_s and F_{s+1}, each below 2^60, which are read off the same
 one-term recurrence from (0, 1). It stays linear and shares no code with the
 doubling ladder. `g_prefix` keeps the plain one-term loop.
 
-Sizes are bounded before anything is evaluated: `check_digit_cap` refuses one
-term, which every evaluator here and in `quadfield` checks itself, and
-`check_prefix_cap` a set of prefixes, which the code that builds them checks,
-that could pass `EVAL_DIGIT_LIMIT` digits. `g_prefix` is the uncapped reference.
-A negative index is refused first, with DomainError, by `digit_bound`.
+Sizes are bounded before anything is evaluated. `check_digit_cap` refuses one
+term that could pass `EVAL_DIGIT_LIMIT` digits, after refusing a negative
+index with DomainError; every evaluator here and in `quadfield` calls it
+first. `check_prefix_cap` refuses a set of prefixes, and the code that builds
+them calls it; `g_prefix` itself is uncapped.
 """
 
 from __future__ import annotations

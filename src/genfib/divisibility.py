@@ -23,8 +23,8 @@ Two classes of sequence are divisibility sequences by proof, and
     integer a and b.
 For every other sequence the pair scan builds terms only as far as the pair
 under test needs, and passes over every n with G_n = +-1, since a unit
-divides every term; past G_(_UNCAPPED_BOUND) it tests each stretch of the
-prefix against the cap first. The point checks leave the cap to `f_fast` and `g_fast`.
+divides every term; past G_(_UNCAPPED_BOUND) it tests each new stretch of
+prefix against the cap. The point checks leave the cap to the evaluators.
 """
 
 from __future__ import annotations
@@ -228,7 +228,7 @@ def check_ccop(p: SequenceParams, m: int, q: int) -> bool:
     _require_cquence(p)
     if m < 1 or q < 1:
         raise DomainError("m and q must be positive")
-    # both terms before the gate, which a huge m or q could fail on instead
+    # both terms first: a huge m or q is refused for its size, not by the gate
     g_m, f_mq = g_fast(p, m), f_fast(p.a, p.b, m * q - 1)
     gate = check_divisible_sequence(p, m * q)
     if not gate.is_divisible:
