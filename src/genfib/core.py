@@ -90,7 +90,7 @@ def digit_bound(p: SequenceParams, n: int) -> float:
         log_r = log10(-p.b) / 2
     else:
         # 2R = |a| + sqrt(d); above float range, isqrt(d) + 1 bounds sqrt(d)
-        twice = abs(p.a) + (sqrt(d) if d < 2**1000 else isqrt(d) + 1)
+        twice = abs(p.a) + (sqrt(d) if d.bit_length() <= 1000 else isqrt(d) + 1)
         log_r = log10(twice) - log10(2) if twice > 2 else 0.0
     head = log10(max(abs(p.v) + abs(p.b * p.u), 1)) + log10(n)
     # log_r is 0 or at least log10(2)/2 for integer a, b, so its rounding is a
