@@ -17,8 +17,9 @@ doubling ladder. `g_prefix` keeps the plain one-term loop.
 Sizes are bounded before anything is evaluated. `check_digit_cap` refuses one
 term that could pass `EVAL_DIGIT_LIMIT` digits, after refusing a negative
 index with DomainError; every evaluator here and in `quadfield` calls it
-first. `check_prefix_cap` refuses a set of prefixes, and the code that builds
-them calls it; `g_prefix` itself is uncapped.
+first, `f_fast` only when a plain-int pre-test (`_under_cap`) has not already
+cleared the index. `check_prefix_cap` refuses a set of prefixes, and the code
+that builds them calls it; `g_prefix` itself is uncapped.
 """
 
 from __future__ import annotations
@@ -104,8 +105,34 @@ def digit_bound(p: SequenceParams, n: int) -> float:
     return ceil(head) + 1 - (1 - n) * num // den
 
 
+def _under_cap(u: int, v: int, a: int, b: int, n: int) -> bool:
+    """True when a plain-int test shows that G_n of (u, v | a, b) is far under the digit cap.
+
+    The test is n >= 0 and (n + 1)*L <= EVAL_DIGIT_LIMIT, with L the bit
+    length of s = |u| + |v| + |a| + |b| + 1. It proves that `digit_bound`
+    stays below the cap, so that neither SequenceParams nor the bound need
+    be built. As s < 2^L, log10(s) < 0.302*L. The larger root modulus R is
+    sqrt|b| < s for complex roots, and otherwise (|a| + sqrt(d))/2 with
+    d = a^2 + 4b <= (|a| + 2 sqrt|b|)^2, so R <= |a| + sqrt|b| < s; above
+    float range the bound takes isqrt(d) + 1 for sqrt(d), which adds at most
+    1/2 to R and keeps it at most s. With x = |u| + |v| + |b|,
+    |v| + |b*u| <= |v| + x^2 < (x + 1)^2 <= s^2. So for n >= 1 the bound is
+    at most 2*log10(s) + log10(n) + (n - 1)*log10(s) + 1
+    < 0.302*EVAL_DIGIT_LIMIT + log10(EVAL_DIGIT_LIMIT) + 1, and at n = 0 it
+    is log10(max(|u|, 1)) + 1 <= log10(s) + 1. Both are far below the cap,
+    beyond any float rounding, and (n - 1)*log10(R) stays under the 2^40 at
+    which the bound would switch to its int path.
+    """
+    return n >= 0 and (n + 1) * (abs(u) + abs(v) + abs(a) + abs(b) + 1).bit_length() <= EVAL_DIGIT_LIMIT
+
+
 def check_digit_cap(p: SequenceParams, n: int) -> None:
-    """Raise ResourceLimitError when G_n could have more than EVAL_DIGIT_LIMIT digits."""
+    """Raise ResourceLimitError when G_n could have more than EVAL_DIGIT_LIMIT digits.
+
+    An index that `_under_cap` passes needs no `digit_bound`.
+    """
+    if _under_cap(p.u, p.v, p.a, p.b, n):
+        return
     digits = int(digit_bound(p, n))
     if digits > EVAL_DIGIT_LIMIT:
         raise ResourceLimitError(
@@ -207,7 +234,8 @@ def _f_pair(a: int, b: int, n: int) -> tuple[int, int]:
 
 def f_fast(a: int, b: int, n: int) -> int:
     """F_n for seeds (0, 1), in O(log n) doubling steps."""
-    check_digit_cap(SequenceParams(0, 1, a, b), n)
+    if not _under_cap(0, 1, a, b, n):
+        check_digit_cap(SequenceParams(0, 1, a, b), n)
     return _f_pair(a, b, n)[0]
 
 

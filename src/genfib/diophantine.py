@@ -23,8 +23,8 @@ from itertools import count, product
 from math import gcd, isqrt
 from operator import itemgetter
 
-from .core import SequenceParams, check_prefix_cap, g_prefix
-from .errors import DomainError, HypothesisViolationError
+from .core import SequenceParams, check_prefix_cap, g_prefix, int_text
+from .errors import DomainError, HypothesisViolationError, ResourceLimitError
 from .identities import invariant_quantity
 from .divisors import Factorization, _small_primes, factorize
 
@@ -86,6 +86,13 @@ def is_solution(x: int, y: int, z: int) -> bool:
     return 5 * x * x + 4 * y * y == z * z
 
 
+# brute_force_solutions lists about 2.9 z_max solutions, z_max/2 of them on
+# the line x = 0, and its factor table has sqrt(z_max^2/5) entries; at
+# z_max = 10^6 that is 2.9 million solutions, 24 s and 620 MB. A larger
+# z_max is refused before anything is built.
+Z_MAX_LIMIT = 10**6
+
+
 def brute_force_solutions(z_max: int) -> list[tuple[int, int, int]]:
     """All (x, y, z) with x, y >= 0, 1 <= z <= z_max, sorted by (z, x, y).
 
@@ -97,10 +104,12 @@ def brute_force_solutions(z_max: int) -> list[tuple[int, int, int]]:
     the solutions with x > 0 are in one-to-one correspondence with those
     pairs, and walking x up to sqrt(z_max^2 / 5), every divisor p of 5x^2
     below its square root, and keeping p + q <= 2 z_max lists each exactly
-    once.
+    once. A z_max above Z_MAX_LIMIT raises ResourceLimitError.
     """
     if z_max < 0:
         raise DomainError("z_max must be non-negative")
+    if z_max > Z_MAX_LIMIT:
+        raise ResourceLimitError(f"z_max {int_text(z_max)} is above the enumeration limit {Z_MAX_LIMIT}")
     out = [(0, z // 2, z) for z in range(2, z_max + 1, 2)]
     x_max = isqrt(z_max * z_max // 5)
     factor = _prime_factor_table(x_max)

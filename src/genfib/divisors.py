@@ -36,8 +36,12 @@ multipliers k = 1..12, which splits a product of two primes whose ratio is
 near u/v with uv = k (twin primes, and p(2p - 1) such as psi_12 and psi_13),
 then Brent rho over RHO_BUDGET = 10^6 steps, seeded from n for `factorize`
 and from the composite left after p-1/p+1 for F_n, then at most
-ECM_CURVES = 60 curves of ECM over the p-1/p+1 stage tables. A composite
-that all three leave is stuck: RhoBudgetError names it and the whole.
+ECM_CURVES = 60 curves of ECM over the p-1/p+1 stage tables. Rho races
+small-bound ECM curves (B1 = 400, B2 = 40,000) while its budget lasts: its
+walk pauses after 8192 steps, then after twice as many more, and so on, for
+one such curve at a time, at most RACE_CURVES = 8 in one tail, and then
+resumes as if it had never paused. A composite that all of them leave is
+stuck: RhoBudgetError names it and the whole.
 
 Everything downstream (tau, ranks of apparition, primitive prime divisors,
 tau lower bounds) builds on that.
@@ -58,6 +62,8 @@ from .errors import DomainError, HypothesisViolationError, ResourceLimitError, R
 # F_n values above this many decimal digits are not factored; callers see a
 # ResourceLimitError and report the index as skipped.
 DIGIT_LIMIT = 80
+# the least value with more than DIGIT_LIMIT digits, built once
+_DIGIT_CEILING = 10**DIGIT_LIMIT
 
 # The tail of one factorization takes at most RHO_BUDGET rho steps and then
 # at most ECM_CURVES curves. The p-1/p+1 stage and ECM run stage 1 over the
@@ -67,6 +73,18 @@ RHO_BUDGET = 1_000_000
 STAGE1_BOUND = 3000
 STAGE2_BOUND = 200_000
 ECM_CURVES = 60
+
+# While rho's budget lasts, its walk on a composite pauses after RACE_SLICE
+# steps, then after twice as many more, and so on, and each pause runs one ECM
+# curve with the small bounds RACE_STAGE1_BOUND and RACE_STAGE2_BOUND, at
+# most RACE_CURVES in one tail. The first slice costs about as much as one
+# such curve. The slices double because rho's chance to split a composite
+# grows with the length of its walk and a curve's does not; one composite
+# that spends the whole RHO_BUDGET runs 6 curves.
+RACE_SLICE = 8192
+RACE_CURVES = 8
+RACE_STAGE1_BOUND = 400
+RACE_STAGE2_BOUND = 40_000
 
 
 def _small_primes(limit: int) -> tuple[int, ...]:
@@ -156,8 +174,17 @@ def _jacobi(a: int, n: int) -> int:
     return sign if n == 1 else 0
 
 
-def _brent_rho(n: int, rng: random.Random, max_steps: int) -> tuple[int | None, int]:
-    """One Brent cycle attempt on odd composite n; returns (factor or None, steps)."""
+def _brent_rho(n: int, rng: random.Random, max_steps: int):
+    """One Brent cycle attempt on odd composite n, walked in blocks of at most 128 steps.
+
+    A generator, so that the walk can pause between blocks: it yields
+    (steps, None) after each block, with the steps the block took, and ends
+    after more than max_steps steps, or with (steps, g) once the cycle
+    closes: g is a proper divisor of n, or None when the cycle caught all of
+    n. The r steps that move y ahead of x come in blocks too. Pausing
+    changes nothing: the walk draws y and c first and then takes the same
+    steps to the same divisor as one run straight through.
+    """
     y = rng.randrange(1, n)
     c = rng.randrange(1, n)
     m = 128
@@ -166,30 +193,35 @@ def _brent_rho(n: int, rng: random.Random, max_steps: int) -> tuple[int | None, 
     x = ys = y
     while g == 1:
         x = y
-        for _ in range(r):
-            y = (y * y + c) % n
-        steps += r
+        for k in range(0, r, m):
+            d = min(m, r - k)
+            for _ in range(d):
+                y = (y * y + c) % n
+            steps += d
+            yield d, None
         k = 0
         while k < r and g == 1:
             ys = y
-            for _ in range(min(m, r - k)):
+            d = min(m, r - k)
+            for _ in range(d):
                 y = (y * y + c) % n
                 q = q * (x - y) % n
-            steps += min(m, r - k)
+            steps += d
             g = gcd(q, n)
             k += m
-            if steps > max_steps and g == 1:
-                return None, steps
+            if g == 1:
+                yield d, None
+                if steps > max_steps:
+                    return
         r <<= 1
+    # the d steps of the block that closed the cycle are yielded with it
     if g == n:
         g = 1
         while g == 1:
             ys = (ys * ys + c) % n
             g = gcd(x - ys, n)
-            steps += 1
-    if g == n:
-        return None, steps
-    return g, steps
+            d += 1
+    yield d, (g if g < n else None)
 
 
 @dataclass(frozen=True)
@@ -253,10 +285,10 @@ def factorize(n: int) -> Factorization:
     """
     if n < 1:
         raise DomainError(f"factorize needs a positive integer, got {int_text(n)}")
-    return _factorize_memo(n, RHO_BUDGET, ECM_CURVES)
+    return _factorize_memo(n, RHO_BUDGET, RACE_CURVES, ECM_CURVES)
 
 
-def _factorize(n: int, steps: int, curves: int) -> Factorization:
+def _factorize(n: int, steps: int, race: int, curves: int) -> Factorization:
     counts: dict[int, int] = {}
     m = n
     for p in _SMALL_PRIMES:
@@ -264,13 +296,13 @@ def _factorize(n: int, steps: int, curves: int) -> Factorization:
             break
         if m % p == 0:
             m = _divide_out(m, p, counts)
-    if m > 1 and (m := _tail(m, counts, n, steps, curves)) > 1:
+    if m > 1 and (m := _tail(m, counts, n, steps, race, curves)) > 1:
         raise RhoBudgetError(n, m)
     return Factorization(n, tuple(sorted(counts.items())))
 
 
-# keyed on the budgets as well, so a changed RHO_BUDGET or ECM_CURVES never
-# reads an entry made under others
+# keyed on the budgets as well, so a changed RHO_BUDGET, RACE_CURVES or
+# ECM_CURVES never reads an entry made under others
 _factorize_memo = _memoised(_factorize)
 
 
@@ -354,7 +386,7 @@ def _factor_f(a: int, b: int, n: int) -> Factorization:
     """Factorization of F_n, memoised; a ResourceLimitError is memoised too."""
     # f_fast refuses an n whose F_n could pass the digit cap before evaluating
     fn = f_fast(a, b, n)
-    if fn >= 10**DIGIT_LIMIT:
+    if fn >= _DIGIT_CEILING:
         raise ResourceLimitError(f"F_{n} has {digit_count(fn)} digits, above the {DIGIT_LIMIT}-digit cap")
     try:
         imprimitive = _imprimitive_primes(a, b, n)
@@ -368,7 +400,7 @@ def _factor_f(a: int, b: int, n: int) -> Factorization:
         m = _divide_out(m, p, counts)
     if m > 1:
         m = _split(m, counts, partial(_pm1_divisor, n=n, d=a * a + 4 * b))
-    if m > 1 and (m := _tail(m, counts, m, RHO_BUDGET, ECM_CURVES)) > 1:
+    if m > 1 and (m := _tail(m, counts, m, RHO_BUDGET, RACE_CURVES, ECM_CURVES)) > 1:
         raise RhoBudgetError(fn, m)
     return Factorization(fn, tuple(sorted(counts.items())))
 
@@ -405,27 +437,40 @@ def _split(m: int, counts: dict[int, int], divisor) -> int:
     return rest
 
 
-def _tail(m: int, counts: dict[int, int], seed: int, steps: int, curves: int) -> int:
-    """Split m > 1 by a Fermat step and rho, then by ECM; returns the part of m left unsplit.
+def _tail(m: int, counts: dict[int, int], seed: int, steps: int, race: int, curves: int) -> int:
+    """Split m > 1 by a Fermat step, rho raced by small curves, then ECM; returns the part of m left unsplit.
 
     Each composite gets one Fermat step per multiplier (`_fermat_divisor`)
     first. Rho then retries it until a walk splits it or `steps` steps are
     spent, drawing from one generator seeded from `seed` and made on first
     use, as seeding costs more than a prime m; a composite that the Fermat
-    step splits makes none. Then ECM takes at most `curves` curves.
+    step splits makes none. While rho's steps last, its walk on a composite
+    pauses after RACE_SLICE steps, then after twice as many, and so on, to
+    run one of at most `race` ECM curves with the small bounds; it then
+    resumes where it paused, so its draws and its splits are those of rho
+    alone. Then ECM takes at most `curves` curves.
     """
     rng = None
 
     def fermat_rho(c: int) -> int | None:
-        nonlocal steps, rng
+        nonlocal steps, race, rng
         if g := _fermat_divisor(c):
             return g
         rng = rng or random.Random(seed)
+        sigmas, lap, span = None, 0, RACE_SLICE
         while steps > 0:
-            g, used = _brent_rho(c, rng, steps)
-            steps -= used
-            if g is not None:
-                return g
+            for used, g in _brent_rho(c, rng, steps):
+                steps -= used
+                if g:
+                    return g
+                lap += used
+                if lap >= span and race > 0 and steps > 0:
+                    lap, span, race = 0, 2 * span, race - 1
+                    # a generator of the small curves' own, seeded from c as
+                    # the ECM tail's is, so the tail draws the same sigmas
+                    sigmas = sigmas or random.Random(c)
+                    if g := _ecm_curve(c, sigmas.randrange(6, c - 1), RACE_STAGE1_BOUND, RACE_STAGE2_BOUND):
+                        return g
         return None
 
     m = _split(m, counts, fermat_rho)
@@ -598,22 +643,23 @@ def _ecm_split(m: int, counts: dict[int, int], curves: int) -> int:
         rng = random.Random(c)
         while curves > 0:
             curves -= 1
-            if g := _ecm_curve(c, rng.randrange(6, c - 1)):
+            if g := _ecm_curve(c, rng.randrange(6, c - 1), STAGE1_BOUND, STAGE2_BOUND):
                 return g
         return None
 
     return _split(m, counts, divisor)
 
 
-def _ecm_curve(c: int, sigma: int) -> int | None:
+def _ecm_curve(c: int, sigma: int, lo: int, hi: int) -> int | None:
     """A proper divisor of c from one ECM curve, or None.
 
     The curve is Montgomery's B y^2 = x^3 + A x^2 + x with Suyama's
     parametrization by sigma, whose group order is divisible by 12, and the
     point is its x-coordinate in projective form (X : Z). A prime p of c is
     caught once the order of the point mod p divides what it has been
-    multiplied by, which shows as p | Z. Stage 1 walks the p-1/p+1 chunks;
-    stage 2 allows one more prime in (STAGE1_BOUND, STAGE2_BOUND].
+    multiplied by, which shows as p | Z. Stage 1 walks the chunks of the
+    prime powers up to lo, with the p-1/p+1 back-off; stage 2 allows one
+    more prime in (lo, hi].
     """
     u = (sigma * sigma - 5) % c
     v = 4 * sigma % c
@@ -624,7 +670,7 @@ def _ecm_curve(c: int, sigma: int) -> int | None:
     if g > 1:
         return g if g < c else None
     a24 = pow(v - u, 3, c) * (3 * u + v) * pow(den, -1, c) % c
-    chunks, k0, blocks = _stage_tables(STAGE1_BOUND, STAGE2_BOUND)
+    chunks, k0, blocks = _stage_tables(lo, hi)
     g, pt = _stage1((x, z), lambda pt: pt[1], partial(_ecm_mul, a24=a24), chunks, c)
     if g > 1:
         return g if g < c else None

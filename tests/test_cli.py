@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 from itertools import takewhile
@@ -253,6 +254,22 @@ def test_dioph_complete_refuses_negative_bound():
     proc = run_cli("dioph", "complete", "--z-max", "50", "--lm-max", "-1")
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == "error: param_bound must be non-negative\n"
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("argv", [["dioph", "oracle", "--z-max", "1000000000000"],
+                                  ["dioph", "complete", "--z-max", "1000000000000", "--lm-max", "5"]])
+def test_dioph_refuses_a_huge_z_max(argv):
+    # under a 1 GB address-space limit: the enumeration is refused before its
+    # table of sqrt(z_max^2 / 5) entries is built, which would not fit
+    proc = subprocess.run([sys.executable, "-m", "genfib.cli", *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, cwd=ROOT,
+                          preexec_fn=_limit_address_space, timeout=60)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == "resource limit: z_max 1000000000000 is above the enumeration limit 1000000\n"
 
 
 def test_dioph_families_refuses_negative_bounds(capsys):

@@ -242,6 +242,34 @@ def test_digit_cap_edges():
             check_digit_cap(q, n + 1)
 
 
+_SEED_INTS = st.one_of(st.integers(-9, 9), st.integers(-10**6, 10**6), st.integers(-10**40, 10**40))
+
+
+@given(_SEED_INTS, _SEED_INTS, _SEED_INTS, _SEED_INTS, st.integers(-2, 2))
+@example(0, 1, 1, 1, 0)
+@example(0, 1, 10**40, -(10**40), 1)
+@example(0, 1, 2, -1, 0)
+@settings(max_examples=200)
+def test_pre_test_passes_no_index_that_the_bound_refuses(u, v, a, b, shift):
+    # the plain-int pre-test of check_digit_cap, at its own edge and at the
+    # last index that digit_bound lets through
+    p = SequenceParams(u, v, a, b)
+    edge = EVAL_DIGIT_LIMIT // (abs(u) + abs(v) + abs(a) + abs(b) + 1).bit_length() - 1
+    assert genfib.core._under_cap(u, v, a, b, edge)
+    assert not genfib.core._under_cap(u, v, a, b, edge + 1)
+    assert not genfib.core._under_cap(u, v, a, b, -1)
+    last = _last_index_below_cap(p)
+    for n in (edge + shift, last + shift):
+        if genfib.core._under_cap(u, v, a, b, n):
+            assert int(digit_bound(p, n)) <= EVAL_DIGIT_LIMIT
+    if last < 10**18:
+        # the refusal is the bound's own message
+        with pytest.raises(ResourceLimitError) as refused:
+            check_digit_cap(p, last + 1)
+        assert str(refused.value) == (f"G_{last + 1} may have up to {int(digit_bound(p, last + 1))} digits,"
+                                      f" above the {EVAL_DIGIT_LIMIT}-digit cap")
+
+
 def test_digit_cap_passes_bounded_sequences():
     # roots of modulus 1 grow at most linearly: no index is over the cap
     for p in (SequenceParams(3, 5, 2, -1), SequenceParams(3, 5, 1, -1), SequenceParams(3, 5, 0, 1)):

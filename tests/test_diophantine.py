@@ -31,6 +31,7 @@ from genfib import (
     square_invariant_pairs,
     two_square_decomposition,
 )
+from genfib import ResourceLimitError, diophantine
 from genfib.diophantine import _assembled_decomposition
 
 BRUTE_20 = [
@@ -106,6 +107,22 @@ def test_brute_force_oracle():
     naive = [(x, y, z) for z in range(1, 151) for x in range(z // 2 + 1) for y in range(z // 2 + 1)
              if 5 * x * x + 4 * y * y == z * z]
     assert brute_force_solutions(150) == naive
+
+
+def test_brute_force_refuses_z_max_past_the_limit(monkeypatch):
+    # refused before the factor table or the x = 0 line is built
+    def refuse(limit):
+        raise AssertionError("the factor table was built")
+
+    monkeypatch.setattr(diophantine, "_prime_factor_table", refuse)
+    for z_max in (diophantine.Z_MAX_LIMIT + 1, 10**12, 10**5000):
+        with pytest.raises(ResourceLimitError, match="above the enumeration limit 1000000$"):
+            brute_force_solutions(z_max)
+        with pytest.raises(ResourceLimitError):
+            completeness_report(z_max, 5)
+    # a negative z_max is still refused as a domain error first
+    with pytest.raises(DomainError):
+        brute_force_solutions(-1)
 
 
 def _oracle_by_y(z_max):

@@ -2,7 +2,7 @@
 
 import random
 from functools import partial
-from math import prod
+from math import gcd, prod
 
 import pytest
 import sympy
@@ -205,11 +205,12 @@ def test_default_budget_failure_is_memoised(monkeypatch):
 
 
 def test_tail_ecm_splits_what_rho_leaves():
-    # two 14-digit primes: the Fermat step and rho's RHO_BUDGET steps alone
-    # leave their product whole, and the ECM curves that follow split it
+    # two 14-digit primes: the Fermat step and rho's RHO_BUDGET steps alone,
+    # with no small curve, leave their product whole, and the ECM curves
+    # that follow split it
     p, q = 10000000000037, 30010000000021
     assert sympy.isprime(p) and sympy.isprime(q) and divisors._fermat_divisor(p * q) is None
-    assert divisors._tail(p * q, {}, p * q, divisors.RHO_BUDGET, 0) == p * q
+    assert divisors._tail(p * q, {}, p * q, divisors.RHO_BUDGET, 0, 0) == p * q
     assert factorize(p * q).factors == _sympy_factors(p * q)
 
 
@@ -228,6 +229,158 @@ def test_fermat_step_splits_without_rho(monkeypatch):
         assert q == 2 * p - 1
         assert factorize(p * q).factors == ((p, 1), (q, 1))
     assert calls == []
+
+
+def _one_shot_rho(n, rng, max_steps):
+    """Brent's walk as it ran before it could pause: (factor or None, steps)."""
+    y = rng.randrange(1, n)
+    c = rng.randrange(1, n)
+    m = 128
+    g = r = q = 1
+    steps = 0
+    x = ys = y
+    while g == 1:
+        x = y
+        for _ in range(r):
+            y = (y * y + c) % n
+        steps += r
+        k = 0
+        while k < r and g == 1:
+            ys = y
+            for _ in range(min(m, r - k)):
+                y = (y * y + c) % n
+                q = q * (x - y) % n
+            steps += min(m, r - k)
+            g = gcd(q, n)
+            k += m
+            if steps > max_steps and g == 1:
+                return None, steps
+        r <<= 1
+    if g == n:
+        g = 1
+        while g == 1:
+            ys = (ys * ys + c) % n
+            g = gcd(x - ys, n)
+            steps += 1
+    if g == n:
+        return None, steps
+    return g, steps
+
+
+# the composites of (3, 1) at n = 47, 71 and 83 that p-1/p+1 leaves to rho,
+# whose walks split them after 219,134, 28,414 and 101,886 steps
+SWEEP_RHO_COMPOSITES = [676619841275899608114721, 55840878305802104737, 4926614542970198958394661]
+
+
+@pytest.mark.parametrize("n", [prod(RHO_PAIR), *SWEEP_RHO_COMPOSITES])
+@pytest.mark.parametrize("budget", [10, 1000, divisors.RHO_BUDGET])
+def test_paused_walk_matches_the_one_shot_walk(n, budget):
+    # walk after walk from one generator until a split or the budget, as the
+    # tail retries: the same divisor at the same step count, paused or not
+    def one_shot(rng, steps):
+        while steps > 0:
+            g, used = _one_shot_rho(n, rng, steps)
+            steps -= used
+            if g:
+                break
+        return g, budget - steps
+
+    def paused(rng, steps):
+        while steps > 0:
+            for used, g in divisors._brent_rho(n, rng, steps):
+                assert used > 0
+                steps -= used
+                if g:
+                    return g, budget - steps
+        return None, budget - steps
+
+    assert paused(random.Random(n), budget) == one_shot(random.Random(n), budget)
+
+
+def _count_steps_and_small_curves(monkeypatch):
+    """Counters of the rho steps and of the small-bound curves that the tail runs."""
+    seen = {"steps": 0, "curves": 0}
+    brent_rho, ecm_curve = divisors._brent_rho, divisors._ecm_curve
+
+    def walk(*args):
+        for used, g in brent_rho(*args):
+            seen["steps"] += used
+            yield used, g
+
+    def curve(c, sigma, lo, hi):
+        seen["curves"] += lo == divisors.RACE_STAGE1_BOUND
+        return ecm_curve(c, sigma, lo, hi)
+
+    monkeypatch.setattr(divisors, "_brent_rho", walk)
+    monkeypatch.setattr(divisors, "_ecm_curve", curve)
+    return seen
+
+
+def test_tail_without_small_curves_takes_rho_alone(monkeypatch):
+    # with no small curve the tail is the walk of rho alone: (3, 1) n = 47
+    # splits after the one-shot walk's 219,134 steps
+    seen = _count_steps_and_small_curves(monkeypatch)
+    c = SWEEP_RHO_COMPOSITES[0]
+    counts = {}
+    assert divisors._tail(c, counts, c, divisors.RHO_BUDGET, 0, 0) == 1
+    assert seen == {"steps": 219134, "curves": 0}
+    assert tuple(sorted(counts.items())) == _sympy_factors(c)
+
+
+@pytest.mark.parametrize("c, curves, rho_steps", [
+    # (3, 1) n = 47, and a semiprime of the bisquare-mix corpus, with the
+    # steps that rho alone takes to split them
+    (SWEEP_RHO_COMPOSITES[0], 2, 219134),
+    (277875660197838864654113, 1, 54398),
+])
+def test_small_curves_split_before_rho(monkeypatch, c, curves, rho_steps):
+    seen = _count_steps_and_small_curves(monkeypatch)
+    counts = {}
+    assert divisors._tail(c, counts, c, divisors.RHO_BUDGET, divisors.RACE_CURVES, 0) == 1
+    assert tuple(sorted(counts.items())) == _sympy_factors(c)
+    # the split came from the last small curve, after slices of RACE_SLICE
+    # steps, twice that, and so on: far short of rho's own split
+    assert seen["curves"] == curves
+    assert divisors.RACE_SLICE * (2**curves - 1) <= seen["steps"] < divisors.RACE_SLICE * 2**curves < rho_steps
+
+
+def test_slow_p_minus_1_case_splits_by_small_curves(monkeypatch):
+    # F_5 of (3*2^40 + 1, 5): p-1/p+1 leaves 115195429469 * 5334425414611729,
+    # which rho alone splits after 405,374 steps; the fourth small curve does
+    seen = _count_steps_and_small_curves(monkeypatch)
+    divisors._factor_f.cache_clear()
+    try:
+        fac = divisors._factor_f(3 * 2**40 + 1, 5, 5)
+    finally:
+        divisors._factor_f.cache_clear()
+    assert {115195429469, 5334425414611729} <= {p for p, _ in fac.factors}
+    assert prod(p**e for p, e in fac.factors) == fac.n == f_fast(3 * 2**40 + 1, 5, 5)
+    assert all(sympy.isprime(p) for p, _ in fac.factors)
+    assert seen["curves"] == 4
+    assert divisors.RACE_SLICE * 15 <= seen["steps"] < divisors.RACE_SLICE * 16 < 405374
+
+
+def test_small_curves_need_rho_steps(monkeypatch):
+    # the small curves run only while rho's budget is being spent: with 10
+    # steps, none, or just the first slice's, the tail runs none of them, and
+    # neither does rho split
+    seen = _count_steps_and_small_curves(monkeypatch)
+    c = SWEEP_RHO_COMPOSITES[0]
+    for steps in (10, 0, divisors.RACE_SLICE):
+        assert divisors._tail(c, {}, c, steps, divisors.RACE_CURVES, 0) == c
+    assert seen["curves"] == 0
+
+
+@given(st.lists(st.integers(10**7, 10**14), min_size=2, max_size=3))
+@settings(max_examples=12, deadline=None)
+def test_factorize_splits_products_of_mid_size_primes(starts):
+    # products of 2-3 primes of 8-14 digits: rho, the small curves and the
+    # ECM tail all take part; the pieces are prime and rebuild the input
+    n = prod(sympy.nextprime(x) for x in starts)
+    fac = factorize(n)
+    assert all(sympy.isprime(p) for p, _ in fac.factors)
+    assert prod(p**e for p, e in fac.factors) == n
+    assert fac.factors == _sympy_factors(n)
 
 
 @given(st.integers(1, 10**9))
@@ -515,7 +668,7 @@ def test_smooth_split_leaves_unsplit_composite_for_rho():
     assert _smooth_split(c, 101, 5, counts) == c and counts == {}
     # the whole composite then goes to the tail, which returns it whole when
     # rho and ECM give up
-    assert divisors._tail(c, counts, c, 10, 0) == c and counts == {}
+    assert divisors._tail(c, counts, c, 10, divisors.RACE_CURVES, 0) == c and counts == {}
 
 
 @given(st.lists(st.integers(10**6, 10**14), min_size=2, max_size=4),
