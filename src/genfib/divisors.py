@@ -1,7 +1,7 @@
 """Integer factorization and the divisor structure of F_n.
 
 `factorize` is the generic route: trial division by the primes below 1000,
-then the tail on whatever composite remains. Its results, and its budget
+then one split of whatever composite remains. Its results, and its budget
 failures, are memoised. Primality is the Baillie-PSW test: a strong test to
 base 2, then an almost-extra-strong Lucas test on the V-ladder that p+1
 already walks. No composite is known to pass it. The strong pseudoprimes to
@@ -16,32 +16,35 @@ are the primes of F_n whose rank is a proper divisor of n. `_factor_f`
 divides those out of F_n completely, taking them from its own memoised
 factorizations of the smaller terms. What is left is the primitive part,
 whose primes have rank n. Such a prime p is n itself or has n | p - (D/p)
-with D = a^2 + 4b, so it is +-1 mod n. The primitive part goes through two
-stages in turn:
+with D = a^2 + 4b, so it is +-1 mod n. The form of the primitive primes
+only keys the search: a cofactor is called prime by `is_prime` alone, and
+every factor is divided out of F_n itself.
 
-1. Pollard p-1 from the known factor 2n, a stage-1 fast path, then one
-   Williams p+1 walk, stage 1 and stage 2, keyed to D so that it serves the
-   primes 1 and -1 mod n alike (`_pm1_divisor`). A gcd that catches every
-   prime of the composite at once backs off to its last checkpoint and
-   replays the steps one at a time. Starting from 2n, stage 1 alone reaches
-   every primitive prime p up to 2n * STAGE1_BOUND with 2n | p - (D/p), so
-   no trial division by the candidates comes first;
-2. the tail on whatever is still composite.
+Both routes make one split (`_split`), in which each composite goes through
+one chain of divisors (`_tail`), a step only when those before it found
+nothing:
 
-The form of the primitive primes only keys the search: a cofactor is called
-prime by `is_prime` alone, and every factor is divided out of F_n itself.
+1. for F_n only, Pollard p-1 from the known factor 2n, a stage-1 fast path,
+   then one Williams p+1 walk, stage 1 and stage 2, keyed to D so that it
+   serves the primes 1 and -1 mod n alike (`_pm1_divisor`). A gcd that
+   catches every prime of the composite at once backs off to its last
+   checkpoint and replays the steps one at a time. Starting from 2n,
+   stage 1 alone reaches every primitive prime p up to 2n * STAGE1_BOUND
+   with 2n | p - (D/p), so no trial division by the candidates comes first;
+2. one Fermat step on 4kc for each of Lehman's multipliers k = 1..12, which
+   splits a product of two primes whose ratio is near u/v with uv = k (twin
+   primes, and p(2p - 1) such as psi_12 and psi_13);
+3. Brent rho, seeded from n for `factorize` and for F_n from the first
+   composite that p-1/p+1 leaves whole, raced by small-bound ECM curves
+   (B1 = 400, B2 = 40,000) while its budget lasts: its walk pauses after
+   8192 steps, then after twice as many more, and so on, for one such curve
+   at a time, and then resumes as if it had never paused;
+4. ECM over the p-1/p+1 stage tables.
 
-Both routes end in one tail: one Fermat step on 4kc for each of Lehman's
-multipliers k = 1..12, which splits a product of two primes whose ratio is
-near u/v with uv = k (twin primes, and p(2p - 1) such as psi_12 and psi_13),
-then Brent rho over RHO_BUDGET = 10^6 steps, seeded from n for `factorize`
-and from the composite left after p-1/p+1 for F_n, then at most
-ECM_CURVES = 60 curves of ECM over the p-1/p+1 stage tables. Rho races
-small-bound ECM curves (B1 = 400, B2 = 40,000) while its budget lasts: its
-walk pauses after 8192 steps, then after twice as many more, and so on, for
-one such curve at a time, at most RACE_CURVES = 8 in one tail, and then
-resumes as if it had never paused. A composite that all of them leave is
-stuck: RhoBudgetError names it and the whole.
+One factorization spends at most RHO_BUDGET = 10^6 rho steps,
+RACE_CURVES = 8 small curves and ECM_CURVES = 60 curves in all. A composite
+that the chain leaves is stuck: RhoBudgetError names the product of those
+left and the whole.
 
 Everything downstream (tau, ranks of apparition, primitive prime divisors,
 tau lower bounds) builds on that.
@@ -65,8 +68,8 @@ DIGIT_LIMIT = 80
 # the least value with more than DIGIT_LIMIT digits, built once
 _DIGIT_CEILING = 10**DIGIT_LIMIT
 
-# The tail of one factorization takes at most RHO_BUDGET rho steps and then
-# at most ECM_CURVES curves. The p-1/p+1 stage and ECM run stage 1 over the
+# One factorization takes at most RHO_BUDGET rho steps and at most
+# ECM_CURVES curves in all. The p-1/p+1 stage and ECM run stage 1 over the
 # prime powers up to STAGE1_BOUND and stage 2 over the primes up to
 # STAGE2_BOUND.
 RHO_BUDGET = 1_000_000
@@ -77,10 +80,10 @@ ECM_CURVES = 60
 # While rho's budget lasts, its walk on a composite pauses after RACE_SLICE
 # steps, then after twice as many more, and so on, and each pause runs one ECM
 # curve with the small bounds RACE_STAGE1_BOUND and RACE_STAGE2_BOUND, at
-# most RACE_CURVES in one tail. The first slice costs about as much as one
-# such curve. The slices double because rho's chance to split a composite
-# grows with the length of its walk and a curve's does not; one composite
-# that spends the whole RHO_BUDGET runs 6 curves.
+# most RACE_CURVES in one factorization. The first slice costs about as much
+# as one such curve. The slices double because rho's chance to split a
+# composite grows with the length of its walk and a curve's does not; one
+# composite that spends the whole RHO_BUDGET runs 6 curves.
 RACE_SLICE = 8192
 RACE_CURVES = 8
 RACE_STAGE1_BOUND = 400
@@ -279,9 +282,9 @@ def factorize(n: int) -> Factorization:
     Trial division by the primes below 1000 strips the small factors. A
     cofactor left is prime when it is below 1009^2, as it then has no prime
     factor up to its square root, or when is_prime accepts it; otherwise it
-    goes to the tail, with rho seeded from n itself. A composite that the
-    tail leaves raises RhoBudgetError naming n. The result is memoised, and
-    so is a ResourceLimitError.
+    goes through the chain of `_tail`, with rho seeded from n itself. A
+    composite that the chain leaves raises RhoBudgetError naming n. The
+    result is memoised, and so is a ResourceLimitError.
     """
     if n < 1:
         raise DomainError(f"factorize needs a positive integer, got {int_text(n)}")
@@ -296,7 +299,7 @@ def _factorize(n: int, steps: int, race: int, curves: int) -> Factorization:
             break
         if m % p == 0:
             m = _divide_out(m, p, counts)
-    if m > 1 and (m := _tail(m, counts, n, steps, race, curves)) > 1:
+    if m > 1 and (m := _split(m, counts, _tail(n, steps, race, curves))) > 1:
         raise RhoBudgetError(n, m)
     return Factorization(n, tuple(sorted(counts.items())))
 
@@ -352,33 +355,22 @@ class PrimitiveDivisorReport:
 def primitive_divisors(a: int, b: int, n: int) -> PrimitiveDivisorReport:
     """The prime factors of F_n whose rank of apparition is n.
 
-    These are the primes of F_n outside `_imprimitive_primes`: those that
-    divide neither any F_{n/q}, q a prime factor of n, nor, when n > 2,
-    gcd(a, b).
+    These are the primes of F_n that divide no F_{n/q}, q a prime factor of
+    n, and, when n > 2, do not divide gcd(a, b); see `_factor_f`.
     """
     if a <= 0 or b <= 0:
         raise HypothesisViolationError("coefficients must be positive")
     if n < 1:
         raise DomainError("n must be positive")
     fac = _factor_f(a, b, n)
-    imprimitive = _imprimitive_primes(a, b, n)
-    prims = tuple(p for p, _ in fac.factors if p not in imprimitive)
+    # a prime divides this product exactly when it divides one of its
+    # factors; _factor_f has just factored each F_{n/q}, so they are read
+    # from its memo
+    below = prod(_factor_f(a, b, n // q).n for q, _ in factorize(n).factors)
+    if n > 2:
+        below *= gcd(a, b)
+    prims = tuple(p for p, _ in fac.factors if below % p)
     return PrimitiveDivisorReport(n, prims, bool(prims))
-
-
-def _imprimitive_primes(a: int, b: int, n: int) -> set[int]:
-    """The primes of F_n whose rank of apparition is below n.
-
-    A prime of gcd(a, b) divides every F_m from m = 2 on, so its rank is 2,
-    below n when n > 2. A prime of b alone divides no F_m. Any other prime
-    divides F_m exactly when its rank divides m, so the rest are the primes
-    of F_{n/q}, q | n prime.
-    """
-    out = {p for q, _ in factorize(n).factors for p, _ in _factor_f(a, b, n // q).factors}
-    g = gcd(a, b)
-    if g > 1 and n > 2:
-        out.update(p for p, _ in factorize(g).factors)
-    return out
 
 
 @_memoised
@@ -388,8 +380,16 @@ def _factor_f(a: int, b: int, n: int) -> Factorization:
     fn = f_fast(a, b, n)
     if fn >= _DIGIT_CEILING:
         raise ResourceLimitError(f"F_{n} has {digit_count(fn)} digits, above the {DIGIT_LIMIT}-digit cap")
+    # The primes of F_n whose rank of apparition is below n go first. A prime
+    # of gcd(a, b) divides every F_m from m = 2 on, so its rank is 2, below n
+    # when n > 2. A prime of b alone divides no F_m. Any other prime divides
+    # F_m exactly when its rank divides m, so the rest are the primes of
+    # F_{n/q}, q | n prime.
     try:
-        imprimitive = _imprimitive_primes(a, b, n)
+        imprimitive = {p for q, _ in factorize(n).factors for p, _ in _factor_f(a, b, n // q).factors}
+        g = gcd(a, b)
+        if g > 1 and n > 2:
+            imprimitive.update(p for p, _ in factorize(g).factors)
     except RhoBudgetError as exc:
         # the composite left unsplit in some F_{n/q} divides F_n; name F_n
         # as the number abandoned
@@ -398,9 +398,7 @@ def _factor_f(a: int, b: int, n: int) -> Factorization:
     m = fn
     for p in imprimitive:
         m = _divide_out(m, p, counts)
-    if m > 1:
-        m = _split(m, counts, partial(_pm1_divisor, n=n, d=a * a + 4 * b))
-    if m > 1 and (m := _tail(m, counts, m, RHO_BUDGET, RACE_CURVES, ECM_CURVES)) > 1:
+    if m > 1 and (m := _split(m, counts, _tail(None, RHO_BUDGET, RACE_CURVES, ECM_CURVES, n, a * a + 4 * b))) > 1:
         raise RhoBudgetError(fn, m)
     return Factorization(fn, tuple(sorted(counts.items())))
 
@@ -419,10 +417,10 @@ def _divide_out(m: int, p: int, counts: dict[int, int]) -> int:
 def _split(m: int, counts: dict[int, int], divisor) -> int:
     """Split m > 1 into pieces by divisor(c), a proper divisor of the composite c or None.
 
-    This is the one loop that splits composites: p-1/p+1, the Fermat step
-    with rho, and ECM each supply a divisor. A piece is recorded in counts
-    only when is_prime accepts it; the product of the composite pieces left
-    unsplit is returned (1 if none), for the next stage.
+    This is the one loop that splits composites, run once per factorization
+    with the divisor `_tail` makes. A piece is recorded in counts only when
+    is_prime accepts it; the product of the composite pieces left unsplit is
+    returned (1 if none).
     """
     rest = 1
     stack = [m]
@@ -437,23 +435,38 @@ def _split(m: int, counts: dict[int, int], divisor) -> int:
     return rest
 
 
-def _tail(m: int, counts: dict[int, int], seed: int, steps: int, race: int, curves: int) -> int:
-    """Split m > 1 by a Fermat step, rho raced by small curves, then ECM; returns the part of m left unsplit.
+def _tail(seed: int | None, steps: int, race: int, curves: int, n: int = 0, d: int = 0):
+    """The divisor that `_split` uses for one factorization: a proper divisor of the composite c, or None.
 
-    Each composite gets one Fermat step per multiplier (`_fermat_divisor`)
-    first. Rho then retries it until a walk splits it or `steps` steps are
-    spent, drawing from one generator seeded from `seed` and made on first
-    use, as seeding costs more than a prime m; a composite that the Fermat
-    step splits makes none. While rho's steps last, its walk on a composite
-    pauses after RACE_SLICE steps, then after twice as many, and so on, to
-    run one of at most `race` ECM curves with the small bounds; it then
-    resumes where it paused, so its draws and its splits are those of rho
-    alone. Then ECM takes at most `curves` curves.
+    Each composite goes through one chain, each step only when those before
+    it found nothing:
+
+    1. for F_n, given n > 0 and d = a^2 + 4b, p-1/p+1 (`_pm1_divisor`);
+    2. one Fermat step per multiplier (`_fermat_divisor`);
+    3. Brent rho, retried until a walk splits c or `steps` steps are spent,
+       drawing from one generator seeded from `seed`, or with no seed from
+       the first composite to reach step 2, and made on first use, as
+       seeding costs more than a prime. While rho's steps last, its walk
+       pauses after RACE_SLICE steps, then after twice as many, and so on,
+       to run one of at most `race` ECM curves with the small bounds; it
+       then resumes where it paused, so its draws and its splits are those
+       of rho alone;
+    4. ECM, at most `curves` curves, with sigmas drawn from a generator
+       seeded from c.
+
+    The budgets `steps`, `race` and `curves` are shared by every composite
+    of the factorization. A piece of a split composite goes through the
+    chain from its start: p-1/p+1 finds nothing on a divisor of a composite
+    that it left whole, since each gcd it takes was 1 or all of that
+    composite, and rho has no steps left on a piece of what ECM split.
     """
     rng = None
 
-    def fermat_rho(c: int) -> int | None:
-        nonlocal steps, race, rng
+    def divisor(c: int) -> int | None:
+        nonlocal seed, steps, race, curves, rng
+        if n and (g := _pm1_divisor(c, n, d)):
+            return g
+        seed = seed or c
         if g := _fermat_divisor(c):
             return g
         rng = rng or random.Random(seed)
@@ -467,14 +480,18 @@ def _tail(m: int, counts: dict[int, int], seed: int, steps: int, race: int, curv
                 if lap >= span and race > 0 and steps > 0:
                     lap, span, race = 0, 2 * span, race - 1
                     # a generator of the small curves' own, seeded from c as
-                    # the ECM tail's is, so the tail draws the same sigmas
+                    # ECM's below is, so that ECM draws the same sigmas
                     sigmas = sigmas or random.Random(c)
                     if g := _ecm_curve(c, sigmas.randrange(6, c - 1), RACE_STAGE1_BOUND, RACE_STAGE2_BOUND):
                         return g
+        sigmas = random.Random(c)
+        while curves > 0:
+            curves -= 1
+            if g := _ecm_curve(c, sigmas.randrange(6, c - 1), STAGE1_BOUND, STAGE2_BOUND):
+                return g
         return None
 
-    m = _split(m, counts, fermat_rho)
-    return _ecm_split(m, counts, curves) if m > 1 else m
+    return divisor
 
 
 # Lehman's multipliers: one Fermat step on 4kc for each k splits c = pq when
@@ -630,24 +647,6 @@ def _giant_walk(v: int, k0: int, c: int) -> tuple[list[int], int, int, int]:
     while len(baby) <= w // 2:
         baby.append((v * baby[-1] - baby[-2]) % c)
     return baby, _lucas_v(v, w, c), _lucas_v(v, abs(k0 - 1) * w, c), _lucas_v(v, k0 * w, c)
-
-
-def _ecm_split(m: int, counts: dict[int, int], curves: int) -> int:
-    """Split m by ECM, on at most `curves` curves in all; see `_split`.
-
-    The curves for a composite c are drawn from a generator seeded from c,
-    so the split depends on c alone.
-    """
-    def divisor(c: int) -> int | None:
-        nonlocal curves
-        rng = random.Random(c)
-        while curves > 0:
-            curves -= 1
-            if g := _ecm_curve(c, rng.randrange(6, c - 1), STAGE1_BOUND, STAGE2_BOUND):
-                return g
-        return None
-
-    return _split(m, counts, divisor)
 
 
 def _ecm_curve(c: int, sigma: int, lo: int, hi: int) -> int | None:

@@ -26,12 +26,13 @@ class ResourceLimitError(RuntimeError):
 
 
 class RhoBudgetError(ResourceLimitError):
-    """Pollard rho spent its step budget without splitting a composite.
+    """A factorization spent its rho steps and ECM curves without splitting a composite.
 
-    On the primitive part of F_n, ECM runs after rho and this is raised once
-    ECM has spent its curves as well. `whole` is the number whose
-    factorization was abandoned and `stuck` the composite divisor of it that
-    could not be split.
+    Each composite goes through one chain of divisors, rho and then ECM
+    among them, and this is raised once the composites left have been
+    through it with the budgets spent. `whole` is the number whose
+    factorization was abandoned and `stuck` the product of the composite
+    divisors of it that could not be split.
     """
 
     def __init__(self, whole: int, stuck: int):

@@ -6,7 +6,7 @@ from math import gcd, prod
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import genfib.core
 from genfib import divisors
@@ -210,7 +210,7 @@ def test_tail_ecm_splits_what_rho_leaves():
     # that follow split it
     p, q = 10000000000037, 30010000000021
     assert sympy.isprime(p) and sympy.isprime(q) and divisors._fermat_divisor(p * q) is None
-    assert divisors._tail(p * q, {}, p * q, divisors.RHO_BUDGET, 0, 0) == p * q
+    assert divisors._split(p * q, {}, divisors._tail(p * q, divisors.RHO_BUDGET, 0, 0)) == p * q
     assert factorize(p * q).factors == _sympy_factors(p * q)
 
 
@@ -322,7 +322,7 @@ def test_tail_without_small_curves_takes_rho_alone(monkeypatch):
     seen = _count_steps_and_small_curves(monkeypatch)
     c = SWEEP_RHO_COMPOSITES[0]
     counts = {}
-    assert divisors._tail(c, counts, c, divisors.RHO_BUDGET, 0, 0) == 1
+    assert divisors._split(c, counts, divisors._tail(c, divisors.RHO_BUDGET, 0, 0)) == 1
     assert seen == {"steps": 219134, "curves": 0}
     assert tuple(sorted(counts.items())) == _sympy_factors(c)
 
@@ -336,7 +336,7 @@ def test_tail_without_small_curves_takes_rho_alone(monkeypatch):
 def test_small_curves_split_before_rho(monkeypatch, c, curves, rho_steps):
     seen = _count_steps_and_small_curves(monkeypatch)
     counts = {}
-    assert divisors._tail(c, counts, c, divisors.RHO_BUDGET, divisors.RACE_CURVES, 0) == 1
+    assert divisors._split(c, counts, divisors._tail(c, divisors.RHO_BUDGET, divisors.RACE_CURVES, 0)) == 1
     assert tuple(sorted(counts.items())) == _sympy_factors(c)
     # the split came from the last small curve, after slices of RACE_SLICE
     # steps, twice that, and so on: far short of rho's own split
@@ -367,7 +367,7 @@ def test_small_curves_need_rho_steps(monkeypatch):
     seen = _count_steps_and_small_curves(monkeypatch)
     c = SWEEP_RHO_COMPOSITES[0]
     for steps in (10, 0, divisors.RACE_SLICE):
-        assert divisors._tail(c, {}, c, steps, divisors.RACE_CURVES, 0) == c
+        assert divisors._split(c, {}, divisors._tail(c, steps, divisors.RACE_CURVES, 0)) == c
     assert seen["curves"] == 0
 
 
@@ -601,6 +601,48 @@ def test_stuck_divisor_term_stops_the_split(tiny_rho_budget):
         primitive_divisors(1, 1, 146)
 
 
+# primes +-1 mod 109 whose p - 1 and p + 1 each have a prime above
+# STAGE2_BOUND; the first two divide 3^218 - 1, so the first gcd of p-1
+# catches both of them and neither of the others, and p-1/p+1 leaves their
+# product as two composites, each of which goes on through the chain
+TWO_LEFT_A = (521402591, 27866471458012723)
+TWO_LEFT_B = (2000025959, 70000001213)
+
+
+def _stand_in_for_f109(monkeypatch):
+    """Let `_factor_f(1, 1, 109)` factor the product of the four primes above in place of F_109."""
+    m = prod(TWO_LEFT_A) * prod(TWO_LEFT_B)
+    real = divisors.f_fast
+    monkeypatch.setattr(divisors, "f_fast", lambda a, b, n: m if (a, b, n) == (1, 1, 109) else real(a, b, n))
+    divisors._factor_f.cache_clear()
+    return m
+
+
+def test_pm1_leaves_two_composites_for_the_chain(monkeypatch):
+    for p in TWO_LEFT_A + TWO_LEFT_B:
+        assert sympy.isprime(p) and p % 109 in (1, 108)
+        assert max(sympy.factorint(p - 1)) > divisors.STAGE2_BOUND
+        assert max(sympy.factorint(p + 1)) > divisors.STAGE2_BOUND
+        assert (pow(3, 2 * 109, p) == 1) == (p in TWO_LEFT_A)
+    a, b = prod(TWO_LEFT_A), prod(TWO_LEFT_B)
+    assert divisors._pm1_divisor(a * b, 109, 5) == a
+    assert divisors._pm1_divisor(a, 109, 5) is None and divisors._pm1_divisor(b, 109, 5) is None
+    m = _stand_in_for_f109(monkeypatch)
+    try:
+        assert divisors._factor_f(1, 1, 109).factors == _sympy_factors(m)
+    finally:
+        divisors._factor_f.cache_clear()
+
+
+def test_stuck_composites_left_by_pm1_are_named_together(tiny_rho_budget, monkeypatch):
+    # neither composite splits, and the error names their product
+    m = _stand_in_for_f109(monkeypatch)
+    with pytest.raises(divisors.RhoBudgetError) as info:
+        divisors._factor_f(1, 1, 109)
+    assert info.value.stuck == prod(TWO_LEFT_A) * prod(TWO_LEFT_B)
+    assert str(info.value) == f"rho budget exhausted factoring {m} (stuck on {m})"
+
+
 @given(st.integers(-50, 50), st.integers(0, 400), st.integers(1, 10**12))
 @settings(max_examples=200)
 def test_lucas_v_matches_recurrence(p, e, m):
@@ -666,9 +708,9 @@ def test_smooth_split_leaves_unsplit_composite_for_rho():
     c = HARD_Q1 * HARD_Q2
     counts = {}
     assert _smooth_split(c, 101, 5, counts) == c and counts == {}
-    # the whole composite then goes to the tail, which returns it whole when
-    # rho and ECM give up
-    assert divisors._tail(c, counts, c, 10, divisors.RACE_CURVES, 0) == c and counts == {}
+    # the whole composite then goes on through the chain, which leaves it
+    # whole when rho and ECM give up
+    assert divisors._split(c, counts, divisors._tail(c, 10, divisors.RACE_CURVES, 0)) == c and counts == {}
 
 
 @given(st.lists(st.integers(10**6, 10**14), min_size=2, max_size=4),
@@ -846,8 +888,10 @@ def test_ecm_semiprimes_are_hard_for_pm1(n, p, q):
 
 @pytest.mark.parametrize("c", [p * q for _, p, q in ECM_SEMIPRIMES] + [STUCK_107, STUCK_115])
 def test_ecm_split_matches_sympy(c):
+    # with no rho step, ECM splits what the Fermat step leaves whole
+    assert divisors._fermat_divisor(c) is None
     counts = {}
-    assert divisors._ecm_split(c, counts, divisors.ECM_CURVES) == 1
+    assert divisors._split(c, counts, divisors._tail(c, 0, 0, divisors.ECM_CURVES)) == 1
     assert tuple(sorted(counts.items())) == _sympy_factors(c)
 
 
@@ -855,10 +899,11 @@ def test_ecm_stage2_splits_what_stage1_alone_does_not(monkeypatch):
     # the third curve splits this p * q in stage 2; stage 1 alone splits it
     # on none of the first ECM_CURVES curves
     _, p, q = ECM_SEMIPRIMES[2]
-    assert divisors._ecm_split(p * q, {}, 2) == p * q
-    assert divisors._ecm_split(p * q, {}, 3) == 1
+    assert divisors._fermat_divisor(p * q) is None
+    assert divisors._split(p * q, {}, divisors._tail(p * q, 0, 0, 2)) == p * q
+    assert divisors._split(p * q, {}, divisors._tail(p * q, 0, 0, 3)) == 1
     monkeypatch.setattr(divisors, "STAGE2_BOUND", divisors.STAGE1_BOUND)
-    assert divisors._ecm_split(p * q, {}, divisors.ECM_CURVES) == p * q
+    assert divisors._split(p * q, {}, divisors._tail(p * q, 0, 0, divisors.ECM_CURVES)) == p * q
 
 
 @given(st.lists(st.integers(10**4, 10**12), min_size=1, max_size=4), st.integers(0, 3))
@@ -867,8 +912,10 @@ def test_ecm_pieces_are_prime_and_rebuild_the_input(starts, curves):
     # a curve can catch several primes at once, or all of them; whatever
     # ECM records must be prime, and the pieces must multiply back
     m = prod(sympy.nextprime(x) for x in starts)
+    # the Fermat step leaves m whole, so that ECM, with no rho step, splits it
+    assume(divisors._fermat_divisor(m) is None)
     counts = {}
-    rest = divisors._ecm_split(m, counts, curves)
+    rest = divisors._split(m, counts, divisors._tail(m, 0, 0, curves))
     assert all(sympy.isprime(p) for p in counts)
     assert rest == 1 or not sympy.isprime(rest)
     assert rest * prod(p**e for p, e in counts.items()) == m

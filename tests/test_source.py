@@ -62,6 +62,20 @@ def test_digit_cap_is_checked_only_by_the_evaluators():
     assert found == []
 
 
+def test_split_is_called_once_per_factorization():
+    # each composite goes through one chain of divisors, so the two
+    # factorizations make one split each and no divisor splits again
+    tree = ast.parse((SRC / "divisors.py").read_text())
+    callers = sorted(
+        func.name
+        for func in tree.body
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_split"
+    )
+    assert callers == ["_factor_f", "_factorize"]
+
+
 def test_import_builds_no_lazy_tables():
     # the p-1/p+1 tables and the CLI parser are built on first use, so
     # importing the package stays as cheap as it was before they existed
