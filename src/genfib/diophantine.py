@@ -198,10 +198,6 @@ def completeness_report(z_max: int, param_bound: int) -> CompletenessReport:
     )
 
 
-def completeness_check(z_max: int, param_bound: int) -> bool:
-    return completeness_report(z_max, param_bound).complete
-
-
 def _is_square(x: int) -> bool:
     if x < 0:
         return False

@@ -18,7 +18,9 @@ factorizations of the smaller terms. What is left is the primitive part,
 whose primes have rank n. Such a prime p is n itself or has n | p - (D/p)
 with D = a^2 + 4b, so it is +-1 mod n. The form of the primitive primes
 only keys the search: a cofactor is called prime by `is_prime` alone, and
-every factor is divided out of F_n itself.
+every factor is divided out of F_n itself. The primes that the split of the
+primitive part finds are the primitive primes of F_n, which
+`primitive_divisors` reports.
 
 Both routes make one split (`_split`), in which each composite goes through
 one chain of divisors (`_tail`), a step only when those before it found
@@ -34,12 +36,15 @@ nothing:
 2. one Fermat step on 4kc for each of Lehman's multipliers k = 1..12, which
    splits a product of two primes whose ratio is near u/v with uv = k (twin
    primes, and p(2p - 1) such as psi_12 and psi_13);
-3. Brent rho, seeded from n for `factorize` and for F_n from the first
-   composite that p-1/p+1 leaves whole, raced by small-bound ECM curves
-   (B1 = 400, B2 = 40,000) while its budget lasts: its walk pauses after
-   8192 steps, then after twice as many more, and so on, for one such curve
-   at a time, and then resumes as if it had never paused;
+3. Brent rho, raced by small-bound ECM curves (B1 = 400, B2 = 40,000)
+   while its budget lasts: its walk pauses after 8192 steps, then after
+   twice as many more, and so on, for one such curve at a time, and then
+   resumes as if it had never paused;
 4. ECM over the p-1/p+1 stage tables.
+
+Rho, the small curves and ECM each draw from a generator seeded from the
+composite they serve, so a composite takes the same route whatever number
+it was split out of.
 
 One factorization spends at most RHO_BUDGET = 10^6 rho steps,
 RACE_CURVES = 8 small curves and ECM_CURVES = 60 curves in all. A composite
@@ -282,9 +287,9 @@ def factorize(n: int) -> Factorization:
     Trial division by the primes below 1000 strips the small factors. A
     cofactor left is prime when it is below 1009^2, as it then has no prime
     factor up to its square root, or when is_prime accepts it; otherwise it
-    goes through the chain of `_tail`, with rho seeded from n itself. A
-    composite that the chain leaves raises RhoBudgetError naming n. The
-    result is memoised, and so is a ResourceLimitError.
+    goes through the chain of `_tail`. A composite that the chain leaves
+    raises RhoBudgetError naming n. The result is memoised, and so is a
+    ResourceLimitError.
     """
     if n < 1:
         raise DomainError(f"factorize needs a positive integer, got {int_text(n)}")
@@ -299,7 +304,7 @@ def _factorize(n: int, steps: int, race: int, curves: int) -> Factorization:
             break
         if m % p == 0:
             m = _divide_out(m, p, counts)
-    if m > 1 and (m := _split(m, counts, _tail(n, steps, race, curves))) > 1:
+    if m > 1 and (m := _split(m, counts, _tail(steps, race, curves))) > 1:
         raise RhoBudgetError(n, m)
     return Factorization(n, tuple(sorted(counts.items())))
 
@@ -355,27 +360,23 @@ class PrimitiveDivisorReport:
 def primitive_divisors(a: int, b: int, n: int) -> PrimitiveDivisorReport:
     """The prime factors of F_n whose rank of apparition is n.
 
-    These are the primes of F_n that divide no F_{n/q}, q a prime factor of
-    n, and, when n > 2, do not divide gcd(a, b); see `_factor_f`.
+    These are the primes that `_factor_f` finds in the primitive part of F_n.
     """
     if a <= 0 or b <= 0:
         raise HypothesisViolationError("coefficients must be positive")
     if n < 1:
         raise DomainError("n must be positive")
-    fac = _factor_f(a, b, n)
-    # a prime divides this product exactly when it divides one of its
-    # factors; _factor_f has just factored each F_{n/q}, so they are read
-    # from its memo
-    below = prod(_factor_f(a, b, n // q).n for q, _ in factorize(n).factors)
-    if n > 2:
-        below *= gcd(a, b)
-    prims = tuple(p for p, _ in fac.factors if below % p)
+    _, prims = _factor_f(a, b, n)
     return PrimitiveDivisorReport(n, prims, bool(prims))
 
 
 @_memoised
-def _factor_f(a: int, b: int, n: int) -> Factorization:
-    """Factorization of F_n, memoised; a ResourceLimitError is memoised too."""
+def _factor_f(a: int, b: int, n: int) -> tuple[Factorization, tuple[int, ...]]:
+    """The factorization of F_n and its primitive primes, sorted, memoised; a ResourceLimitError is memoised too.
+
+    The primes of rank below n are divided out first; the primes that
+    `_split` then finds, those of rank n, are the primitive primes.
+    """
     # f_fast refuses an n whose F_n could pass the digit cap before evaluating
     fn = f_fast(a, b, n)
     if fn >= _DIGIT_CEILING:
@@ -386,7 +387,7 @@ def _factor_f(a: int, b: int, n: int) -> Factorization:
     # F_m exactly when its rank divides m, so the rest are the primes of
     # F_{n/q}, q | n prime.
     try:
-        imprimitive = {p for q, _ in factorize(n).factors for p, _ in _factor_f(a, b, n // q).factors}
+        imprimitive = {p for q, _ in factorize(n).factors for p, _ in _factor_f(a, b, n // q)[0].factors}
         g = gcd(a, b)
         if g > 1 and n > 2:
             imprimitive.update(p for p, _ in factorize(g).factors)
@@ -398,9 +399,10 @@ def _factor_f(a: int, b: int, n: int) -> Factorization:
     m = fn
     for p in imprimitive:
         m = _divide_out(m, p, counts)
-    if m > 1 and (m := _split(m, counts, _tail(None, RHO_BUDGET, RACE_CURVES, ECM_CURVES, n, a * a + 4 * b))) > 1:
+    primitive: dict[int, int] = {}
+    if m > 1 and (m := _split(m, primitive, _tail(RHO_BUDGET, RACE_CURVES, ECM_CURVES, n, a * a + 4 * b))) > 1:
         raise RhoBudgetError(fn, m)
-    return Factorization(fn, tuple(sorted(counts.items())))
+    return Factorization(fn, tuple(sorted({**counts, **primitive}.items()))), tuple(sorted(primitive))
 
 
 def _divide_out(m: int, p: int, counts: dict[int, int]) -> int:
@@ -435,7 +437,7 @@ def _split(m: int, counts: dict[int, int], divisor) -> int:
     return rest
 
 
-def _tail(seed: int | None, steps: int, race: int, curves: int, n: int = 0, d: int = 0):
+def _tail(steps: int, race: int, curves: int, n: int = 0, d: int = 0):
     """The divisor that `_split` uses for one factorization: a proper divisor of the composite c, or None.
 
     Each composite goes through one chain, each step only when those before
@@ -444,11 +446,9 @@ def _tail(seed: int | None, steps: int, race: int, curves: int, n: int = 0, d: i
     1. for F_n, given n > 0 and d = a^2 + 4b, p-1/p+1 (`_pm1_divisor`);
     2. one Fermat step per multiplier (`_fermat_divisor`);
     3. Brent rho, retried until a walk splits c or `steps` steps are spent,
-       drawing from one generator seeded from `seed`, or with no seed from
-       the first composite to reach step 2, and made on first use, as
-       seeding costs more than a prime. While rho's steps last, its walk
-       pauses after RACE_SLICE steps, then after twice as many, and so on,
-       to run one of at most `race` ECM curves with the small bounds; it
+       drawing from a generator seeded from c. While rho's steps last, its
+       walk pauses after RACE_SLICE steps, then after twice as many, and so
+       on, to run one of at most `race` ECM curves with the small bounds; it
        then resumes where it paused, so its draws and its splits are those
        of rho alone;
     4. ECM, at most `curves` curves, with sigmas drawn from a generator
@@ -460,17 +460,13 @@ def _tail(seed: int | None, steps: int, race: int, curves: int, n: int = 0, d: i
     that it left whole, since each gcd it takes was 1 or all of that
     composite, and rho has no steps left on a piece of what ECM split.
     """
-    rng = None
-
     def divisor(c: int) -> int | None:
-        nonlocal seed, steps, race, curves, rng
+        nonlocal steps, race, curves
         if n and (g := _pm1_divisor(c, n, d)):
             return g
-        seed = seed or c
         if g := _fermat_divisor(c):
             return g
-        rng = rng or random.Random(seed)
-        sigmas, lap, span = None, 0, RACE_SLICE
+        rng, sigmas, lap, span = random.Random(c), None, 0, RACE_SLICE
         while steps > 0:
             for used, g in _brent_rho(c, rng, steps):
                 steps -= used
@@ -793,7 +789,7 @@ def check_tau_prime_power(a: int, b: int, p: int, e: int) -> bool:
         raise HypothesisViolationError("p must be an odd prime")
     if e < 1:
         raise DomainError("e must be positive")
-    return _factor_f(a, b, p**e).tau >= 2**e
+    return _factor_f(a, b, p**e)[0].tau >= 2**e
 
 
 @dataclass(frozen=True)
@@ -819,7 +815,7 @@ def check_tau_bounds(a: int, b: int, n: int) -> TauBounds:
         raise HypothesisViolationError("coefficients must be positive")
     if n < 2:
         raise DomainError("n must be at least 2")
-    tau_fn = _factor_f(a, b, n).tau
+    tau_fn = _factor_f(a, b, n)[0].tau
     nf = factorize(n)
     omega_n, tau_n = nf.big_omega, nf.tau
     if n % 2:

@@ -1,9 +1,7 @@
 """Structural identities: index addition and the Cassini-style determinant.
 
-Every check is exact. Each boolean check has a companion returning both
-evaluated sides so a failing instance can be reported with its numbers.
-
-The sides are evaluated at one point by `addition_sides` and
+Every check is exact and returns both evaluated sides, so a failing
+instance can be reported with its numbers. The sides are evaluated at one point by `addition_sides` and
 `determinant_sides`, from fast doubling, and on a whole grid by
 `addition_grid` and `determinant_grid`, which give the same sides from
 linear passes.
@@ -31,11 +29,6 @@ def addition_sides(p: SequenceParams, m: int, n: int) -> tuple[int, int]:
     return lhs, rhs
 
 
-def check_addition(p: SequenceParams, m: int, n: int) -> bool:
-    lhs, rhs = addition_sides(p, m, n)
-    return lhs == rhs
-
-
 def addition_grid(p: SequenceParams, max_m: int, max_n: int) -> Iterator[tuple[int, int, int, int]]:
     """Yield (m, n, lhs, rhs), the sides of `addition_sides`, for 0 <= m <= max_m, 0 <= n <= max_n, row by row.
 
@@ -61,11 +54,6 @@ def determinant_sides(p: SequenceParams, n: int) -> tuple[int, int]:
     lhs = g_fast(p, n) * g_fast(p, n + 2) - g_fast(p, n + 1) ** 2
     rhs = (-p.b) ** n * invariant_quantity(p)
     return lhs, rhs
-
-
-def check_determinant(p: SequenceParams, n: int) -> bool:
-    lhs, rhs = determinant_sides(p, n)
-    return lhs == rhs
 
 
 def determinant_grid(p: SequenceParams, max_n: int) -> Iterator[tuple[int, int, int]]:

@@ -19,7 +19,6 @@ from genfib import (
     alternating_witnesses,
     brute_force_solutions,
     check_alternating_bisquable,
-    completeness_check,
     completeness_report,
     euler_divisor_check,
     factorize,
@@ -213,7 +212,7 @@ def test_completeness():
     rep = completeness_report(200, 21)
     assert rep.complete
     assert (rep.total, rep.family_matched, rep.degenerate) == (273, 173, 100)
-    assert completeness_check(100, 15)
+    assert completeness_report(100, 15).complete
 
 
 def test_completeness_detects_gaps():

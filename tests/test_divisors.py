@@ -210,7 +210,7 @@ def test_tail_ecm_splits_what_rho_leaves():
     # that follow split it
     p, q = 10000000000037, 30010000000021
     assert sympy.isprime(p) and sympy.isprime(q) and divisors._fermat_divisor(p * q) is None
-    assert divisors._split(p * q, {}, divisors._tail(p * q, divisors.RHO_BUDGET, 0, 0)) == p * q
+    assert divisors._split(p * q, {}, divisors._tail(divisors.RHO_BUDGET, 0, 0)) == p * q
     assert factorize(p * q).factors == _sympy_factors(p * q)
 
 
@@ -322,9 +322,23 @@ def test_tail_without_small_curves_takes_rho_alone(monkeypatch):
     seen = _count_steps_and_small_curves(monkeypatch)
     c = SWEEP_RHO_COMPOSITES[0]
     counts = {}
-    assert divisors._split(c, counts, divisors._tail(c, divisors.RHO_BUDGET, 0, 0)) == 1
+    assert divisors._split(c, counts, divisors._tail(divisors.RHO_BUDGET, 0, 0)) == 1
     assert seen == {"steps": 219134, "curves": 0}
     assert tuple(sorted(counts.items())) == _sympy_factors(c)
+
+
+def test_rho_is_seeded_from_the_composite_it_walks(monkeypatch):
+    # trial division leaves c itself from 6c, and rho walks it as it walks c
+    # alone, whatever number c was split out of
+    seen = _count_steps_and_small_curves(monkeypatch)
+    monkeypatch.setattr(divisors, "RACE_CURVES", 0)
+    c = SWEEP_RHO_COMPOSITES[0]
+    divisors._factorize_memo.cache_clear()
+    try:
+        assert factorize(6 * c).factors == _sympy_factors(6 * c)
+    finally:
+        divisors._factorize_memo.cache_clear()
+    assert seen == {"steps": 219134, "curves": 0}
 
 
 @pytest.mark.parametrize("c, curves, rho_steps", [
@@ -336,7 +350,7 @@ def test_tail_without_small_curves_takes_rho_alone(monkeypatch):
 def test_small_curves_split_before_rho(monkeypatch, c, curves, rho_steps):
     seen = _count_steps_and_small_curves(monkeypatch)
     counts = {}
-    assert divisors._split(c, counts, divisors._tail(c, divisors.RHO_BUDGET, divisors.RACE_CURVES, 0)) == 1
+    assert divisors._split(c, counts, divisors._tail(divisors.RHO_BUDGET, divisors.RACE_CURVES, 0)) == 1
     assert tuple(sorted(counts.items())) == _sympy_factors(c)
     # the split came from the last small curve, after slices of RACE_SLICE
     # steps, twice that, and so on: far short of rho's own split
@@ -350,7 +364,7 @@ def test_slow_p_minus_1_case_splits_by_small_curves(monkeypatch):
     seen = _count_steps_and_small_curves(monkeypatch)
     divisors._factor_f.cache_clear()
     try:
-        fac = divisors._factor_f(3 * 2**40 + 1, 5, 5)
+        fac, _ = divisors._factor_f(3 * 2**40 + 1, 5, 5)
     finally:
         divisors._factor_f.cache_clear()
     assert {115195429469, 5334425414611729} <= {p for p, _ in fac.factors}
@@ -367,7 +381,7 @@ def test_small_curves_need_rho_steps(monkeypatch):
     seen = _count_steps_and_small_curves(monkeypatch)
     c = SWEEP_RHO_COMPOSITES[0]
     for steps in (10, 0, divisors.RACE_SLICE):
-        assert divisors._split(c, {}, divisors._tail(c, steps, divisors.RACE_CURVES, 0)) == c
+        assert divisors._split(c, {}, divisors._tail(steps, divisors.RACE_CURVES, 0)) == c
     assert seen["curves"] == 0
 
 
@@ -517,7 +531,7 @@ def test_factorization_is_value_object():
 def _check_against_oracles(a, b, n):
     """_factor_f against sympy, primitive_divisors against the linear rank scan."""
     want = tuple(sorted(sympy.factorint(f_fast(a, b, n)).items()))
-    assert divisors._factor_f(a, b, n).factors == want, (a, b, n)
+    assert divisors._factor_f(a, b, n)[0].factors == want, (a, b, n)
     scanned = tuple(p for p, _ in want if rank_of_apparition(a, b, p, limit=n) == n)
     assert primitive_divisors(a, b, n).primitive_primes == scanned, (a, b, n)
 
@@ -547,7 +561,7 @@ def test_factor_f_against_oracles_random_coefficients(a, b, n):
                                      (3, 1, 115), (3, 1, 116), (4, 2, 82), (4, 2, 86),
                                      (3, 3, 94)])
 def test_formerly_skipped_indices_factor_exactly(a, b, n):
-    fac = divisors._factor_f(a, b, n)
+    fac, _ = divisors._factor_f(a, b, n)
     prod = 1
     for p, e in fac.factors:
         assert sympy.isprime(p), p
@@ -629,7 +643,7 @@ def test_pm1_leaves_two_composites_for_the_chain(monkeypatch):
     assert divisors._pm1_divisor(a, 109, 5) is None and divisors._pm1_divisor(b, 109, 5) is None
     m = _stand_in_for_f109(monkeypatch)
     try:
-        assert divisors._factor_f(1, 1, 109).factors == _sympy_factors(m)
+        assert divisors._factor_f(1, 1, 109)[0].factors == _sympy_factors(m)
     finally:
         divisors._factor_f.cache_clear()
 
@@ -710,7 +724,7 @@ def test_smooth_split_leaves_unsplit_composite_for_rho():
     assert _smooth_split(c, 101, 5, counts) == c and counts == {}
     # the whole composite then goes on through the chain, which leaves it
     # whole when rho and ECM give up
-    assert divisors._split(c, counts, divisors._tail(c, 10, divisors.RACE_CURVES, 0)) == c and counts == {}
+    assert divisors._split(c, counts, divisors._tail(10, divisors.RACE_CURVES, 0)) == c and counts == {}
 
 
 @given(st.lists(st.integers(10**6, 10**14), min_size=2, max_size=4),
@@ -891,7 +905,7 @@ def test_ecm_split_matches_sympy(c):
     # with no rho step, ECM splits what the Fermat step leaves whole
     assert divisors._fermat_divisor(c) is None
     counts = {}
-    assert divisors._split(c, counts, divisors._tail(c, 0, 0, divisors.ECM_CURVES)) == 1
+    assert divisors._split(c, counts, divisors._tail(0, 0, divisors.ECM_CURVES)) == 1
     assert tuple(sorted(counts.items())) == _sympy_factors(c)
 
 
@@ -900,10 +914,10 @@ def test_ecm_stage2_splits_what_stage1_alone_does_not(monkeypatch):
     # on none of the first ECM_CURVES curves
     _, p, q = ECM_SEMIPRIMES[2]
     assert divisors._fermat_divisor(p * q) is None
-    assert divisors._split(p * q, {}, divisors._tail(p * q, 0, 0, 2)) == p * q
-    assert divisors._split(p * q, {}, divisors._tail(p * q, 0, 0, 3)) == 1
+    assert divisors._split(p * q, {}, divisors._tail(0, 0, 2)) == p * q
+    assert divisors._split(p * q, {}, divisors._tail(0, 0, 3)) == 1
     monkeypatch.setattr(divisors, "STAGE2_BOUND", divisors.STAGE1_BOUND)
-    assert divisors._split(p * q, {}, divisors._tail(p * q, 0, 0, divisors.ECM_CURVES)) == p * q
+    assert divisors._split(p * q, {}, divisors._tail(0, 0, divisors.ECM_CURVES)) == p * q
 
 
 @given(st.lists(st.integers(10**4, 10**12), min_size=1, max_size=4), st.integers(0, 3))
@@ -915,7 +929,7 @@ def test_ecm_pieces_are_prime_and_rebuild_the_input(starts, curves):
     # the Fermat step leaves m whole, so that ECM, with no rho step, splits it
     assume(divisors._fermat_divisor(m) is None)
     counts = {}
-    rest = divisors._split(m, counts, divisors._tail(m, 0, 0, curves))
+    rest = divisors._split(m, counts, divisors._tail(0, 0, curves))
     assert all(sympy.isprime(p) for p in counts)
     assert rest == 1 or not sympy.isprime(rest)
     assert rest * prod(p**e for p, e in counts.items()) == m
@@ -934,6 +948,6 @@ def test_ecm_curve_budget_names_the_stuck_composite(monkeypatch):
         assert str(info.value) == f"rho budget exhausted factoring {f_fast(3, 1, 115)} (stuck on {STUCK_115})"
         monkeypatch.setattr(divisors, "ECM_CURVES", 17)
         divisors._factor_f.cache_clear()
-        assert divisors._factor_f(3, 1, 115).n == f_fast(3, 1, 115)
+        assert divisors._factor_f(3, 1, 115)[0].n == f_fast(3, 1, 115)
     finally:
         divisors._factor_f.cache_clear()

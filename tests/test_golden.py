@@ -6,8 +6,11 @@ seed-1 invocations of the three benchmark workloads (factor-sweep,
 eval-identity, bisquare-mix), then the criterion-11 CLI fixtures, then
 `primitive --a 2 --b 1 --n-max 113`, whose n = 113 record is a skip on a
 composite that p-1/p+1, rho and ECM all leave: no other argv writes one.
-They are copied into the file so that this test does not depend on the
-benchmark's generators.
+Last come `primitive` and `tau-bounds` for (2, 2) and (4, 2) to n = 40,
+where gcd(a, b) > 1: its primes divide every F_n from n = 2 on, so they are
+divided out first and are never primitive past n = 2. They are copied
+into the file so that this test does not depend on the benchmark's
+generators.
 
 The `bisquare --n` argvs on psi_12 and psi_13, the strong pseudoprimes to
 the twelve prime bases up to 37, pin the records of the Baillie-PSW
@@ -47,7 +50,7 @@ def _digest(argv: list[str]) -> dict:
 
 def test_cli_output_matches_golden_digests():
     golden = json.loads(GOLDEN.read_text())
-    assert len(golden) == 158
+    assert len(golden) == 162
     changed = [want["argv"] for want in golden if _digest(want["argv"]) != want]
     assert changed == []
 
