@@ -402,7 +402,7 @@ def _factor_f(a: int, b: int, n: int) -> tuple[Factorization, tuple[int, ...]]:
     primitive: dict[int, int] = {}
     if m > 1 and (m := _split(m, primitive, _tail(RHO_BUDGET, RACE_CURVES, ECM_CURVES, n, a * a + 4 * b))) > 1:
         raise RhoBudgetError(fn, m)
-    return Factorization(fn, tuple(sorted({**counts, **primitive}.items()))), tuple(sorted(primitive))
+    return Factorization(fn, tuple(sorted((counts | primitive).items()))), tuple(sorted(primitive))
 
 
 def _divide_out(m: int, p: int, counts: dict[int, int]) -> int:
