@@ -17,6 +17,7 @@ import json
 import sys
 from dataclasses import asdict
 from functools import cache, partial
+from itertools import product
 
 from .core import SequenceParams, g_fast, g_iter
 from .diophantine import (
@@ -105,11 +106,10 @@ def _cmd_dioph_families(args):
     if min(args.k_max, args.lm_max) < 0:
         raise DomainError("k_max and lm_max must be non-negative")
     lm = range(1, args.lm_max + 1)
-    params = [(l, m, families_for(l, m)) for l in lm for m in lm]
     for fam in Family:
         for k in range(1, args.k_max + 1):
-            for l, m, fams in params:
-                if fam in fams:
+            for l, m in product(lm, lm):
+                if fam in families_for(l, m):
                     sol = family_solution(fam, k, l, m)
                     yield _rec("dioph-solution", is_solution(sol.x, sol.y, sol.z),
                                family=fam.value, k=k, l=l, m=m, x=sol.x, y=sol.y, z=sol.z)

@@ -18,15 +18,15 @@ from __future__ import annotations
 import enum
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import reduce
-from itertools import count, product
-from math import gcd, isqrt
+from itertools import count
+from math import gcd, isqrt, prod
 from operator import itemgetter
 
 from .core import SequenceParams, check_prefix_cap, g_prefix, int_text
 from .errors import DomainError, HypothesisViolationError, ResourceLimitError
 from .identities import invariant_quantity
 from .divisors import Factorization, _small_primes, factorize
+from .quadfield import quad_mul, quad_pow
 
 
 class Family(enum.Enum):
@@ -246,8 +246,11 @@ def _prime_two_squares(p: int) -> tuple[int, int]:
     return (r, s)
 
 
-def _cmul(z: tuple[int, int], w: tuple[int, int]) -> tuple[int, int]:
-    return (z[0] * w[0] - z[1] * w[1], z[0] * w[1] + z[1] * w[0])
+# The assembly builds and compares prod(e + 1) conjugate splits over the
+# primes p^e with p = 1 mod 4, so each further prime doubles its time and
+# memory; 2^16 splits, 16 such primes, take about 0.1 s. A factorization
+# with more is refused before any is built.
+ASSEMBLY_LIMIT = 2**16
 
 
 def _assembled_decomposition(fac: Factorization) -> tuple[int, int] | None:
@@ -255,24 +258,33 @@ def _assembled_decomposition(fac: Factorization) -> tuple[int, int] | None:
 
     Every representation comes from distributing conjugates over the primes
     congruent to 1 mod 4, so enumerating those splits and taking the minimum
-    first coordinate is deterministic and exhaustive.
+    first coordinate is deterministic and exhaustive. More than
+    ASSEMBLY_LIMIT splits raise ResourceLimitError.
     """
+    if any(e % 2 for p, e in fac.factors if p % 4 == 3):
+        return None
+    splits = prod(e + 1 for p, e in fac.factors if p % 4 == 1)
+    if splits > ASSEMBLY_LIMIT:
+        raise ResourceLimitError(
+            f"{int_text(fac.n)} has {splits} conjugate splits to assemble, "
+            f"above the limit {ASSEMBLY_LIMIT}"
+        )
     # (1 + i)^a for 2^a and q^f for q^(2f), q = 3 mod 4, are the same in
-    # every representation; p^e, p = 1 mod 4, contributes pi^j * conj(pi)^(e-j)
-    fixed = (1, 0)
-    parts = []
+    # every representation; p^e, p = 1 mod 4, contributes one of the
+    # pi^j * conj(pi)^(e-j); products are taken in Z[i], where w^2 = -1
+    reps = [(1, 0)]
     for p, e in fac.factors:
         if p == 2:
-            fixed = reduce(_cmul, [(1, 1)] * e, fixed)
+            choices = [quad_pow(0, -1, (1, 1), e)]
         elif p % 4 == 3:
-            if e % 2:
-                return None
-            fixed = _cmul(fixed, (p ** (e // 2), 0))
+            choices = [(p ** (e // 2), 0)]
         else:
             pi = _prime_two_squares(p)
             conj = (pi[0], -pi[1])
-            parts.append([reduce(_cmul, [pi] * j + [conj] * (e - j)) for j in range(e + 1)])
-    return min(tuple(sorted(map(abs, reduce(_cmul, ws, fixed)))) for ws in product(*parts))
+            choices = [quad_mul(0, -1, quad_pow(0, -1, pi, j), quad_pow(0, -1, conj, e - j))
+                       for j in range(e + 1)]
+        reps = [quad_mul(0, -1, z, w) for z in reps for w in choices]
+    return min(tuple(sorted(map(abs, z))) for z in reps)
 
 
 def two_square_decomposition(n: int) -> tuple[int, int] | None:

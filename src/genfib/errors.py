@@ -9,10 +9,6 @@ class HypothesisViolationError(ValueError):
     """Arguments do not satisfy the hypothesis a checker assumes."""
 
 
-class ParameterMismatchError(ValueError):
-    """Operands were built over different defining coefficients."""
-
-
 class DegenerateDiscriminantError(ValueError):
     """Repeated characteristic root where two distinct roots are required."""
 

@@ -1,22 +1,20 @@
 """Exact arithmetic in Z[w] with w^2 = a*w + b, and closed-form evaluation.
 
-The characteristic roots of x^2 - a*x - b are alpha = w and beta = a - w.
-Keeping w symbolic makes every intermediate quantity an exact integer pair,
-so closed-form values can be compared bit for bit against the recurrence.
-The Galois conjugation w -> a - w takes alpha to beta, so beta^n is the
-conjugate of alpha^n, and the closed form is read from alpha^n alone.
+An element x + y*w is the int pair (x, y), and each operation takes the
+ring's (a, b) first. The characteristic roots of x^2 - a*x - b are
+alpha = w = (0, 1) and beta = a - w = (a, -1). Keeping w symbolic makes every
+intermediate quantity an exact integer pair, so closed-form values can be
+compared bit for bit against the recurrence. The Galois conjugation
+w -> a - w takes alpha to beta, so beta^n is the conjugate of alpha^n, and
+the closed form is read from alpha^n alone. (a, b) = (0, -1) is the ring of
+Gaussian integers Z[i], in which `diophantine` assembles two-square
+decompositions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import SequenceParams, _require_index, check_digit_cap
-from .errors import (
-    DegenerateDiscriminantError,
-    NondegenerateDiscriminantError,
-    ParameterMismatchError,
-)
+from .errors import DegenerateDiscriminantError, NondegenerateDiscriminantError
 
 
 def discriminant(a: int, b: int) -> int:
@@ -24,64 +22,24 @@ def discriminant(a: int, b: int) -> int:
     return a * a + 4 * b
 
 
-@dataclass(frozen=True)
-class QuadInt:
-    """x + y*w in the ring defined by w^2 = a*w + b, with integer coefficients."""
-
-    x: int
-    y: int
-    a: int
-    b: int
-
-    @classmethod
-    def one(cls, a: int, b: int) -> "QuadInt":
-        return cls(1, 0, a, b)
-
-    @classmethod
-    def omega(cls, a: int, b: int) -> "QuadInt":
-        return cls(0, 1, a, b)
-
-    def _check(self, other: "QuadInt") -> None:
-        if self.a != other.a or self.b != other.b:
-            raise ParameterMismatchError(
-                f"operands live in different rings: (a,b)=({self.a},{self.b}) "
-                f"vs ({other.a},{other.b})"
-            )
-
-    def __add__(self, other: "QuadInt") -> "QuadInt":
-        self._check(other)
-        return QuadInt(self.x + other.x, self.y + other.y, self.a, self.b)
-
-    def __sub__(self, other: "QuadInt") -> "QuadInt":
-        self._check(other)
-        return QuadInt(self.x - other.x, self.y - other.y, self.a, self.b)
-
-    def __mul__(self, other: "QuadInt") -> "QuadInt":
-        return quad_mul(self, other)
-
-    def scaled(self, c: int) -> "QuadInt":
-        return QuadInt(self.x * c, self.y * c, self.a, self.b)
-
-
-def quad_mul(s: QuadInt, t: QuadInt) -> QuadInt:
-    """Product in Z[w]; reduces w^2 via w^2 = a*w + b."""
-    s._check(t)
+def quad_mul(a: int, b: int, s: tuple[int, int], t: tuple[int, int]) -> tuple[int, int]:
+    """Product of s and t in Z[w] with w^2 = a*w + b."""
+    (x1, y1), (x2, y2) = s, t
     # (x1 + y1 w)(x2 + y2 w) = x1 x2 + y1 y2 b + (x1 y2 + x2 y1 + y1 y2 a) w
-    x = s.x * t.x + s.y * t.y * s.b
-    y = s.x * t.y + t.x * s.y + s.y * t.y * s.a
-    return QuadInt(x, y, s.a, s.b)
+    yy = y1 * y2
+    return (x1 * x2 + yy * b, x1 * y2 + x2 * y1 + yy * a)
 
 
-def quad_pow(s: QuadInt, n: int) -> QuadInt:
-    """s**n by binary powering; n must be non-negative."""
+def quad_pow(a: int, b: int, s: tuple[int, int], n: int) -> tuple[int, int]:
+    """s**n in Z[w] with w^2 = a*w + b, by binary powering; n must be non-negative."""
     _require_index(n)
-    result = QuadInt.one(s.a, s.b)
-    base = s
+    result = (1, 0)
     while n:
         if n & 1:
-            result = quad_mul(result, base)
-        base = quad_mul(base, base)
+            result = quad_mul(a, b, result, s)
         n >>= 1
+        if n:
+            s = quad_mul(a, b, s, s)
     return result
 
 
@@ -101,8 +59,8 @@ def binet_eval(p: SequenceParams, n: int) -> int:
         raise DegenerateDiscriminantError(
             f"(a,b)=({p.a},{p.b}) has a repeated root; use binet_repeated_root"
         )
-    an = quad_pow(QuadInt.omega(p.a, p.b), n)
-    return p.u * an.x + p.v * an.y
+    x, y = quad_pow(p.a, p.b, (0, 1), n)
+    return p.u * x + p.v * y
 
 
 def binet_repeated_root(p: SequenceParams, n: int) -> int:

@@ -16,7 +16,6 @@ from pathlib import Path
 from genfib import (
     Family,
     HypothesisViolationError,
-    QuadInt,
     ResourceLimitError,
     SequenceParams,
     binet_eval,
@@ -84,11 +83,10 @@ def test_criterion_01_oracle_equivalence():
 def _binet_u_term_flipped(p, n):
     # same numerator with the u-term factors swapped; used as the sign control
     a, b = p.a, p.b
-    alpha = QuadInt.omega(a, b)
-    beta = QuadInt(a, -1, a, b)
-    an, bn = quad_pow(alpha, n), quad_pow(beta, n)
-    num = (an - bn).scaled(p.v) + (quad_mul(an, beta) - quad_mul(alpha, bn)).scaled(p.u)
-    return num.y // 2
+    alpha, beta = (0, 1), (a, -1)
+    an, bn = quad_pow(a, b, alpha, n), quad_pow(a, b, beta, n)
+    u_term = quad_mul(a, b, an, beta)[1] - quad_mul(a, b, alpha, bn)[1]
+    return (p.v * (an[1] - bn[1]) + p.u * u_term) // 2
 
 
 def test_criterion_02_binet_exactness():

@@ -1,11 +1,13 @@
 """End-to-end CLI checks: record shapes, exit codes, determinism."""
 
+import argparse
 import json
 import os
 import resource
 import subprocess
 import sys
-from itertools import takewhile
+import tracemalloc
+from itertools import islice, takewhile
 from pathlib import Path
 
 import pytest
@@ -291,6 +293,31 @@ def test_bisquare_single():
     assert proc.returncode == 0
     rec = records(proc)[0]
     assert rec["bisquare"] is False and rec["decomposition"] is None
+
+
+def test_bisquare_refuses_too_many_splits(capsys):
+    # the product of the first 30 primes = 1 mod 4 has 2^30 two-square
+    # splits to compare; it is refused at once with exit 3
+    n = 2983383440722580134130318029653647506045412433545014890989765
+    out, err, code = run_in_process(capsys, ["bisquare", "--n", str(n)])
+    assert (code, out) == (3, "")
+    assert err == (f"resource limit: {n} has 1073741824 conjugate splits to assemble, "
+                   "above the limit 65536\n")
+
+
+def test_dioph_families_streams_its_records():
+    # the (l, m) grid is walked as records are made, not built first: at
+    # lm_max = 400 a list of its 160,000 entries took 18 MB
+    args = argparse.Namespace(k_max=1, lm_max=400)
+    tracemalloc.start()
+    try:
+        recs = list(islice(cli._cmd_dioph_families(args), 10))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [(r["l"], r["m"]) for r in recs] == [(1, 1), (1, 3), (1, 5), (1, 7), (1, 9),
+                                                (1, 11), (1, 13), (1, 15), (1, 17), (1, 19)]
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("bounds", [("-1", "3"), ("3", "-1")])

@@ -26,6 +26,7 @@ from genfib import (
     family_solution,
     g_prefix,
     is_bisquare,
+    is_prime,
     is_solution,
     square_invariant_pairs,
     two_square_decomposition,
@@ -285,6 +286,25 @@ def test_assembly_agrees_with_search():
 @settings(max_examples=150)
 def test_assembly_agrees_with_search_sampled(n):
     assert _assembled_decomposition(factorize(n)) == two_square_decomposition(n)
+
+
+# the first 30 primes = 1 mod 4, 5 to 313
+PRIMES_1_MOD_4 = [p for p in range(5, 314, 4) if is_prime(p)]
+
+
+def test_assembly_refuses_too_many_splits():
+    # each distinct prime = 1 mod 4 doubles the splits to compare: 16 of them
+    # are at the limit and still assembled, 17 are refused before any split
+    # is built, and the classification by factorization still answers
+    assert len(PRIMES_1_MOD_4) == 30
+    n = prod(PRIMES_1_MOD_4[:16])
+    assert two_square_decomposition(n) == (1175849126, 50151584231673)
+    assert 1175849126**2 + 50151584231673**2 == n
+    for k, splits in [(17, 2**17), (30, 2**30)]:
+        n = prod(PRIMES_1_MOD_4[:k])
+        with pytest.raises(ResourceLimitError, match=f"has {splits} conjugate splits"):
+            two_square_decomposition(n)
+        assert is_bisquare(n)
 
 
 def test_decomposition_round_trip():

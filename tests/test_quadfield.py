@@ -1,20 +1,22 @@
 """Closed-form evaluation over Z[omega] with omega^2 = a*omega + b."""
 
+from functools import partial
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import genfib.core
 from genfib import (
     DegenerateDiscriminantError,
+    DomainError,
     NondegenerateDiscriminantError,
-    ParameterMismatchError,
-    QuadInt,
     SequenceParams,
     binet_eval,
     binet_repeated_root,
     discriminant,
     g_fast,
     g_iter,
+    g_prefix,
     quad_mul,
     quad_pow,
 )
@@ -31,22 +33,34 @@ def test_discriminant_values():
 
 def test_omega_satisfies_its_equation():
     for a, b in [(1, 1), (3, -2), (-4, 7), (0, 5)]:
-        w = QuadInt.omega(a, b)
-        sq = quad_mul(w, w)
-        expected = w.scaled(a) + QuadInt.one(a, b).scaled(b)
-        assert sq == expected
-
-
-def test_mixed_parameters_rejected():
-    with pytest.raises(ParameterMismatchError):
-        quad_mul(QuadInt.omega(1, 1), QuadInt.omega(2, 1))
+        assert quad_mul(a, b, (0, 1), (0, 1)) == (b, a)
 
 
 def test_quad_pow_edges():
-    w = QuadInt.omega(3, 2)
-    assert quad_pow(w, 0) == QuadInt.one(3, 2)
-    assert quad_pow(w, 1) == w
-    assert quad_pow(w, 5) == quad_mul(quad_mul(quad_mul(quad_mul(w, w), w), w), w)
+    w = (0, 1)
+    mul = partial(quad_mul, 3, 2)
+    assert quad_pow(3, 2, w, 0) == (1, 0)
+    assert quad_pow(3, 2, w, 1) == w
+    assert quad_pow(3, 2, w, 5) == mul(mul(mul(mul(w, w), w), w), w)
+    with pytest.raises(DomainError):
+        quad_pow(3, 2, w, -1)
+
+
+@given(st.integers(-6, 6), st.integers(-6, 6), st.integers(1, 80))
+@settings(max_examples=300)
+def test_quad_pow_of_omega_is_a_fibonacci_pair(a, b, n):
+    # w^n = b*F_(n-1) + F_n*w, for every (a, b), a = 0 and b = 0 included
+    f = g_prefix(SequenceParams(0, 1, a, b), n)
+    assert quad_pow(a, b, (0, 1), n) == (b * f[n - 1], f[n])
+
+
+def test_quad_mul_is_gaussian_multiplication():
+    # (a, b) = (0, -1) is Z[i], where the two-square assembly multiplies
+    grid = [(x, y) for x in range(-4, 5) for y in range(-4, 5)]
+    for z in grid:
+        for w in grid:
+            zw = complex(*z) * complex(*w)
+            assert quad_mul(0, -1, z, w) == (int(zw.real), int(zw.imag))
 
 
 def test_binet_known_values():

@@ -145,6 +145,25 @@ def test_every_private_function_is_read():
     assert sorted(loc for name, loc in defined.items() if name not in read) == []
 
 
+def test_every_error_class_is_raised():
+    # an exception class that no package code raises is left behind by the
+    # code that raised it; callers would catch an error that never comes
+    defined = {
+        node.name: f"errors.py:{node.lineno}"
+        for node in ast.parse((SRC / "errors.py").read_text()).body
+        if isinstance(node, ast.ClassDef)
+    }
+    raised = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    assert defined
+    assert sorted(loc for name, loc in defined.items() if name not in raised) == []
+
+
 def test_benchmark_tracer_wraps_its_names(capsys):
     # perfbench/tracer.py wraps package functions by name and counts a rank
     # that does not exist at the `limit` default of rank_of_apparition; a
