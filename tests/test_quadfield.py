@@ -3,7 +3,7 @@
 from functools import partial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import genfib.core
 from genfib import (
@@ -47,6 +47,9 @@ def test_quad_pow_edges():
 
 
 @given(st.integers(-6, 6), st.integers(-6, 6), st.integers(1, 80))
+@example(0, 0, 1)
+@example(0, -3, 9)
+@example(-4, 0, 7)
 @settings(max_examples=300)
 def test_quad_pow_of_omega_is_a_fibonacci_pair(a, b, n):
     # w^n = b*F_(n-1) + F_n*w, for every (a, b), a = 0 and b = 0 included
