@@ -36,7 +36,7 @@ from .divisibility import gcd_identity_grid, scan_divisible
 from .divisors import check_tau_bounds, primitive_divisors
 from .errors import DomainError, HypothesisViolationError, ResourceLimitError
 from .identities import addition_grid, determinant_grid
-from .quadfield import binet_eval, binet_repeated_root, discriminant
+from .quadfield import binet_eval
 
 OK = "ok"
 VIOLATED = "violated"
@@ -69,10 +69,7 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 def _cmd_compute(args):
     p, echo = _seed(args)
-    if args.method == "binet":
-        evaluate = binet_repeated_root if discriminant(p.a, p.b) == 0 else binet_eval
-    else:
-        evaluate = g_iter if args.method == "iter" else g_fast
+    evaluate = {"iter": g_iter, "fast": g_fast, "binet": binet_eval}[args.method]
     yield _rec("compute", method=args.method, n=args.n, value=evaluate(p, args.n), **echo)
 
 

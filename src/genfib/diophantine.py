@@ -391,9 +391,12 @@ def check_alternating_bisquable(p: SequenceParams, k_max: int, parity: str) -> b
 
 def alternating_witnesses(
     p: SequenceParams, k_max: int, parity: str
-) -> list[BisquareWitness]:
-    """The examined terms with explicit decompositions; the search route."""
-    return [
-        BisquareWitness(i, g, two_square_decomposition(g))
-        for i, g in _alternating_terms(p, k_max, parity)
-    ]
+) -> Iterator[BisquareWitness]:
+    """The examined terms with explicit decompositions, one at a time; the search route.
+
+    The gate, k_max, parity, the prefix cap and the signs of the terms are
+    checked on the call. Each decomposition is made as its witness is
+    drawn, so the witnesses drawn before a resource limit stay decided.
+    """
+    terms = list(_alternating_terms(p, k_max, parity))
+    return (BisquareWitness(i, g, two_square_decomposition(g)) for i, g in terms)

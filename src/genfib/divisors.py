@@ -62,9 +62,9 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache, partial, wraps
 from itertools import compress
-from math import gcd, isqrt, prod
+from math import gcd, isqrt, log10, prod
 
-from .core import digit_count, f_fast, int_text
+from .core import EVAL_DIGIT_LIMIT, digit_count, f_fast, int_text
 from .errors import DomainError, HypothesisViolationError, ResourceLimitError, RhoBudgetError
 
 # F_n values above this many decimal digits are not factored; callers see a
@@ -782,13 +782,22 @@ def _pieces(items: list, size: int) -> tuple[tuple, ...]:
 
 
 def check_tau_prime_power(a: int, b: int, p: int, e: int) -> bool:
-    """tau(F_{p^e}) >= 2^e for odd prime p."""
+    """tau(F_{p^e}) >= 2^e for odd prime p.
+
+    An index p^e of more than EVAL_DIGIT_LIMIT digits is refused before it
+    is built: for a, b >= 1, F_n has at least 0.2*n - 1 digits, so such a
+    term is far past either cap, while building the index alone would take
+    half a second or more.
+    """
     if a <= 0 or b <= 0:
         raise HypothesisViolationError("coefficients must be positive")
     if p == 2 or not is_prime(p):
         raise HypothesisViolationError("p must be an odd prime")
     if e < 1:
         raise DomainError("e must be positive")
+    if e > EVAL_DIGIT_LIMIT / log10(p):
+        raise ResourceLimitError(f"F_({int_text(p)}^{int_text(e)}) has more than {EVAL_DIGIT_LIMIT} digits, "
+                                 f"above the {EVAL_DIGIT_LIMIT}-digit cap")
     return _factor_f(a, b, p**e)[0].tau >= 2**e
 
 

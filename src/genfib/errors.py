@@ -9,14 +9,6 @@ class HypothesisViolationError(ValueError):
     """Arguments do not satisfy the hypothesis a checker assumes."""
 
 
-class DegenerateDiscriminantError(ValueError):
-    """Repeated characteristic root where two distinct roots are required."""
-
-
-class NondegenerateDiscriminantError(ValueError):
-    """Distinct characteristic roots where a repeated root is required."""
-
-
 class ResourceLimitError(RuntimeError):
     """A computation exceeded its configured budget and was abandoned."""
 

@@ -6,7 +6,9 @@ alpha = w = (0, 1) and beta = a - w = (a, -1). Keeping w symbolic makes every
 intermediate quantity an exact integer pair, so closed-form values can be
 compared bit for bit against the recurrence. The Galois conjugation
 w -> a - w takes alpha to beta, so beta^n is the conjugate of alpha^n, and
-the closed form is read from alpha^n alone. (a, b) = (0, -1) is the ring of
+the closed form is read from alpha^n alone. `binet_eval` takes every (a, b):
+at a repeated root it evaluates the repeated-root form instead, which is
+faster there than the power in Z[w]. (a, b) = (0, -1) is the ring of
 Gaussian integers Z[i], in which `diophantine` assembles two-square
 decompositions.
 """
@@ -14,7 +16,7 @@ decompositions.
 from __future__ import annotations
 
 from .core import SequenceParams, _require_index, check_digit_cap
-from .errors import DegenerateDiscriminantError, NondegenerateDiscriminantError
+from .errors import HypothesisViolationError
 
 
 def discriminant(a: int, b: int) -> int:
@@ -44,9 +46,10 @@ def quad_pow(a: int, b: int, s: tuple[int, int], n: int) -> tuple[int, int]:
 
 
 def binet_eval(p: SequenceParams, n: int) -> int:
-    """Closed-form G_n for distinct characteristic roots, evaluated exactly.
+    """Closed-form G_n for every (a, b), evaluated exactly.
 
-    With alpha = w and beta = a - w,
+    A repeated root (a^2 + 4b = 0) goes to `binet_repeated_root`. For
+    distinct roots, with alpha = w and beta = a - w,
 
         G_n = [v*(alpha^n - beta^n) + u*(alpha*beta^n - alpha^n*beta)] / (alpha - beta).
 
@@ -54,11 +57,9 @@ def binet_eval(p: SequenceParams, n: int) -> int:
     differences are Y and X times alpha - beta = 2w - a, and G_n = u*X + v*Y
     with no division. n = 0 yields +u, which the recurrence demands.
     """
-    check_digit_cap(p, n)
     if discriminant(p.a, p.b) == 0:
-        raise DegenerateDiscriminantError(
-            f"(a,b)=({p.a},{p.b}) has a repeated root; use binet_repeated_root"
-        )
+        return binet_repeated_root(p, n)
+    check_digit_cap(p, n)
     x, y = quad_pow(p.a, p.b, (0, 1), n)
     return p.u * x + p.v * y
 
@@ -72,9 +73,7 @@ def binet_repeated_root(p: SequenceParams, n: int) -> int:
     """
     check_digit_cap(p, n)
     if discriminant(p.a, p.b) != 0:
-        raise NondegenerateDiscriminantError(
-            f"(a,b)=({p.a},{p.b}) has distinct roots; use binet_eval"
-        )
+        raise HypothesisViolationError(f"(a,b)=({p.a},{p.b}) has distinct roots; use binet_eval")
     if n == 0:
         return p.u
     alpha = p.a // 2

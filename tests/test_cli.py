@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from genfib import ResourceLimitError, SequenceParams, TauBounds, cli, divisibility, g_iter, identities
+from genfib import ResourceLimitError, SequenceParams, TauBounds, cli, diophantine, divisibility, g_iter, identities
 from genfib.core import check_digit_cap
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -527,6 +527,26 @@ def test_records_before_a_resource_limit_stay_written(capsys, monkeypatch):
     recs = [json.loads(line) for line in out.splitlines()]
     assert code == 3 and err == "resource limit: limit at m = 1\n"
     assert [(r["m"], r["n"], r["status"]) for r in recs] == [(0, 0, "ok"), (0, 1, "ok"), (0, 2, "ok")]
+
+
+def test_alt_bisquable_records_before_a_resource_limit_stay_written(capsys, monkeypatch):
+    # the witnesses are decided one at a time: a limit hit at the third term
+    # leaves the records of the first two on stdout
+    decompose = diophantine.two_square_decomposition
+    seen = []
+
+    def limited(n):
+        seen.append(n)
+        if len(seen) == 3:
+            raise ResourceLimitError("limit at the third term")
+        return decompose(n)
+
+    monkeypatch.setattr(diophantine, "two_square_decomposition", limited)
+    out, err, code = run_in_process(capsys, ["alt-bisquable", "--u", "0", "--v", "1", "--a", "1",
+                                             "--b", "1", "--parity", "odd", "--k-max", "5"])
+    recs = [json.loads(line) for line in out.splitlines()]
+    assert code == 3 and err == "resource limit: limit at the third term\n"
+    assert [(r["n"], r["value"], r["status"]) for r in recs] == [(1, 1, "ok"), (3, 2, "ok")]
 
 
 def test_violated_index_outranks_skipped_index(capsys, monkeypatch):

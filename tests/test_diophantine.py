@@ -378,7 +378,7 @@ def test_alternating_gate_and_domain():
 
 def test_alternating_witnesses_cross_route():
     p = SequenceParams(0, 1, 1, 1)
-    ws = alternating_witnesses(p, 10, "odd")
+    ws = list(alternating_witnesses(p, 10, "odd"))
     vals = g_prefix(p, 19)
     assert [w.n for w in ws] == list(range(1, 20, 2))
     for w in ws:

@@ -1,6 +1,7 @@
 """Factorization stack and the divisor-count bounds on F_n."""
 
 import random
+import time
 from functools import partial
 from math import gcd, prod
 
@@ -478,6 +479,11 @@ def test_tau_prime_power():
         check_tau_prime_power(1, 1, 4, 1)
     with pytest.raises(DomainError):
         check_tau_prime_power(1, 1, 3, 0)
+    # 3^(10^8) has 47.7 million digits; the refusal names F and never builds it
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match=r"^F_\(3\^100000000\) has more than 1000000 digits"):
+        check_tau_prime_power(1, 1, 3, 10**8)
+    assert time.perf_counter() - start < 0.01
 
 
 def test_tau_bounds_spot_values():

@@ -7,9 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import genfib.core
 from genfib import (
-    DegenerateDiscriminantError,
     DomainError,
-    NondegenerateDiscriminantError,
+    HypothesisViolationError,
     SequenceParams,
     binet_eval,
     binet_repeated_root,
@@ -87,14 +86,18 @@ def test_binet_seed_orientation():
     st.integers(-8, 8), st.integers(-8, 8), st.integers(-8, 8), st.integers(-8, 8),
     st.integers(0, 60),
 )
+@example(3, 5, 2, -1, 8)  # repeated root 1: G_n = 3 + 2n
+@example(-2, 7, -6, -9, 60)  # repeated root -3
+@example(3, 4, 0, 0, 1)  # a = b = 0: only the seeds survive
+@example(3, 4, 0, 0, 60)
+@example(1, 2, 1, -3, 60)  # complex roots
+@example(-3, 4, 0, 2, 59)  # roots +-sqrt(2)
 @settings(max_examples=250)
 def test_binet_matches_recurrence(u, v, a, b, n):
+    # binet_eval takes every (a, b), repeated roots included
     p = SequenceParams(u, v, a, b)
-    if discriminant(a, b) == 0:
-        got = binet_repeated_root(p, n)
-        assert type(got) is int and got == g_iter(p, n)
-    else:
-        assert binet_eval(p, n) == g_iter(p, n)
+    got = binet_eval(p, n)
+    assert type(got) is int and got == g_prefix(p, n)[n]
 
 
 @pytest.mark.parametrize("a, b, n", [(1, 1, 21000), (3, -1, 10500), (1, -3, 18500)],
@@ -134,9 +137,12 @@ def test_repeated_root_grid():
 
 
 def test_root_multiplicity_dispatch():
-    with pytest.raises(DegenerateDiscriminantError):
-        binet_eval(SequenceParams(0, 1, 2, -1), 5)
-    with pytest.raises(NondegenerateDiscriminantError):
+    # binet_eval hands a repeated root to binet_repeated_root, which refuses
+    # distinct roots
+    for c in (-3, 1, 2):
+        p = SequenceParams(2, -1, 2 * c, -c * c)
+        assert [binet_eval(p, n) for n in range(20)] == [binet_repeated_root(p, n) for n in range(20)]
+    with pytest.raises(HypothesisViolationError, match="distinct roots"):
         binet_repeated_root(SequenceParams(0, 1, 1, 1), 5)
 
 

@@ -2,6 +2,7 @@
 
 import ast
 import importlib.util
+import inspect
 import os
 import subprocess
 import sys
@@ -162,6 +163,17 @@ def test_every_error_class_is_raised():
                     raised.add(exc.id)
     assert defined
     assert sorted(loc for name, loc in defined.items() if name not in raised) == []
+
+
+def test_every_error_class_has_an_exit_code():
+    # cli.run maps DomainError and HypothesisViolationError to exit 2 and
+    # ResourceLimitError to exit 3; any other error class would escape it
+    from genfib import errors
+
+    handled = (errors.DomainError, errors.HypothesisViolationError, errors.ResourceLimitError)
+    defined = [cls for _, cls in inspect.getmembers(errors, inspect.isclass) if cls.__module__ == errors.__name__]
+    assert defined
+    assert [cls.__name__ for cls in defined if not issubclass(cls, handled)] == []
 
 
 def test_benchmark_tracer_wraps_its_names(capsys):
