@@ -18,8 +18,9 @@ Sizes are bounded before anything is evaluated. `check_digit_cap` refuses one
 term that could pass `EVAL_DIGIT_LIMIT` digits, after refusing a negative
 index with DomainError; every evaluator here and in `quadfield` calls it
 first, `f_fast` only when a plain-int pre-test (`_under_cap`) has not already
-cleared the index. `check_prefix_cap` refuses a set of prefixes, and the code
-that builds them calls it; `g_prefix` itself is uncapped.
+cleared the index. `check_prefix_cap` refuses a set of prefixes: `g_prefix`
+calls it on the one prefix it builds, and code that builds several calls it
+on all of them first, so that the refusal names them together.
 """
 
 from __future__ import annotations
@@ -210,8 +211,12 @@ def g_iter(p: SequenceParams, n: int) -> int:
 
 
 def g_prefix(p: SequenceParams, n_max: int) -> list[int]:
-    """[G_0, ..., G_{n_max}] in one linear pass, with no size cap."""
-    _require_index(n_max)
+    """[G_0, ..., G_{n_max}] in one linear pass, after `check_prefix_cap` on G_0..G_{n_max}.
+
+    A negative n_max is refused with DomainError by the digit bound the cap
+    check takes.
+    """
+    check_prefix_cap(("G", p, n_max))
     out = [p.u]
     lo, hi = p.u, p.v
     for _ in range(n_max):

@@ -22,7 +22,7 @@ from itertools import count
 from math import gcd, isqrt, prod
 from operator import itemgetter
 
-from .core import SequenceParams, check_prefix_cap, g_prefix, int_text
+from .core import SequenceParams, g_prefix, int_text
 from .errors import DomainError, HypothesisViolationError, ResourceLimitError
 from .identities import invariant_quantity
 from .divisors import Factorization, _small_primes, factorize
@@ -373,10 +373,10 @@ def _alternating_terms(
     p: SequenceParams, k_max: int, parity: str
 ) -> Iterator[tuple[int, int]]:
     # (i, G_i) at the alternating indices, after the square-invariant gate
-    # and the prefix cap; a negative term raises when the walk reaches it
+    # and the prefix cap of g_prefix; a negative term raises when the walk
+    # reaches it
     _require_square_invariant(p)
     indices = _alternating_indices(k_max, parity)
-    check_prefix_cap(("G", p, indices[-1]))
     vals = g_prefix(p, indices[-1])
     for i in indices:
         if vals[i] < 0:

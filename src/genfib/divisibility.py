@@ -73,7 +73,6 @@ def check_b_coprime(p: SequenceParams, n_max: int) -> bool:
     _require_cquence(p)
     if n_max < 0:
         raise DomainError("n_max must be non-negative")
-    check_prefix_cap(("G", p, n_max))
     return all(gcd(p.b, g) == 1 for g in g_prefix(p, n_max))
 
 
@@ -82,7 +81,6 @@ def check_consecutive_coprime(p: SequenceParams, n_max: int) -> bool:
     _require_cquence(p)
     if n_max < 0:
         raise DomainError("n_max must be non-negative")
-    check_prefix_cap(("G", p, n_max + 1))
     vals = g_prefix(p, n_max + 1)
     return all(gcd(vals[n + 1], vals[n]) == 1 for n in range(n_max + 1))
 

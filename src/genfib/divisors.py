@@ -20,7 +20,9 @@ with D = a^2 + 4b, so it is +-1 mod n. The form of the primitive primes
 only keys the search: a cofactor is called prime by `is_prime` alone, and
 every factor is divided out of F_n itself. The primes that the split of the
 primitive part finds are the primitive primes of F_n, which
-`primitive_divisors` reports.
+`primitive_divisors` reports. DIGIT_LIMIT bounds the primitive part, not
+F_n. A term whose part is past it or stuck keeps its memoised error, which
+every multiple of its index raises, so a skip names that term.
 
 Both routes make one split (`_split`), in which each composite goes through
 one chain of divisors (`_tail`), a step only when those before it found
@@ -67,8 +69,8 @@ from math import gcd, isqrt, log10, prod
 from .core import EVAL_DIGIT_LIMIT, digit_count, f_fast, int_text
 from .errors import DomainError, HypothesisViolationError, ResourceLimitError, RhoBudgetError
 
-# F_n values above this many decimal digits are not factored; callers see a
-# ResourceLimitError and report the index as skipped.
+# A primitive part of F_n with more than this many decimal digits is not
+# split; a ResourceLimitError names its term, and callers skip the index.
 DIGIT_LIMIT = 80
 # the least value with more than DIGIT_LIMIT digits, built once
 _DIGIT_CEILING = 10**DIGIT_LIMIT
@@ -374,31 +376,28 @@ def primitive_divisors(a: int, b: int, n: int) -> PrimitiveDivisorReport:
 def _factor_f(a: int, b: int, n: int) -> tuple[Factorization, tuple[int, ...]]:
     """The factorization of F_n and its primitive primes, sorted, memoised; a ResourceLimitError is memoised too.
 
-    The primes of rank below n are divided out first; the primes that
-    `_split` then finds, those of rank n, are the primitive primes.
+    The primes of rank below n are divided out first; the primitive part
+    left is refused past DIGIT_LIMIT digits, and the primes that `_split`
+    finds in it, those of rank n, are the primitive primes.
     """
-    # f_fast refuses an n whose F_n could pass the digit cap before evaluating
+    # f_fast refuses an n whose F_n could pass 10^6 digits before evaluating
     fn = f_fast(a, b, n)
-    if fn >= _DIGIT_CEILING:
-        raise ResourceLimitError(f"F_{n} has {digit_count(fn)} digits, above the {DIGIT_LIMIT}-digit cap")
     # The primes of F_n whose rank of apparition is below n go first. A prime
     # of gcd(a, b) divides every F_m from m = 2 on, so its rank is 2, below n
     # when n > 2. A prime of b alone divides no F_m. Any other prime divides
     # F_m exactly when its rank divides m, so the rest are the primes of
-    # F_{n/q}, q | n prime.
-    try:
-        imprimitive = {p for q, _ in factorize(n).factors for p, _ in _factor_f(a, b, n // q)[0].factors}
-        g = gcd(a, b)
-        if g > 1 and n > 2:
-            imprimitive.update(p for p, _ in factorize(g).factors)
-    except RhoBudgetError as exc:
-        # the composite left unsplit in some F_{n/q} divides F_n; name F_n
-        # as the number abandoned
-        raise RhoBudgetError(fn, exc.stuck) from None
+    # F_{n/q}, q | n prime; an F_{n/q} not factored raises its own error.
+    imprimitive = {p for q, _ in factorize(n).factors for p, _ in _factor_f(a, b, n // q)[0].factors}
+    g = gcd(a, b)
+    if g > 1 and n > 2:
+        imprimitive.update(p for p, _ in factorize(g).factors)
     counts: dict[int, int] = {}
     m = fn
     for p in imprimitive:
         m = _divide_out(m, p, counts)
+    if m >= _DIGIT_CEILING:
+        raise ResourceLimitError(
+            f"the primitive part of F_{n} has {digit_count(m)} digits, above the {DIGIT_LIMIT}-digit cap")
     primitive: dict[int, int] = {}
     if m > 1 and (m := _split(m, primitive, _tail(RHO_BUDGET, RACE_CURVES, ECM_CURVES, n, a * a + 4 * b))) > 1:
         raise RhoBudgetError(fn, m)

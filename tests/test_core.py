@@ -86,9 +86,10 @@ seed_st = st.integers(-(2**70), 2**70)
 @example(1, -1, 2**30 - 1, 1, 700)
 @example(3, 5, 2**61, 3, 130)
 def test_g_iter_matches_one_step_oracle(u, v, a, b, n):
-    # g_prefix walks one term per step, so it checks every block of g_iter
-    p = SequenceParams(u, v, a, b)
-    assert g_iter(p, n) == g_prefix(p, n)[n]
+    # the reference walks one term per step, so it checks every block of
+    # g_iter; g_prefix would refuse these prefixes, whose terms reach
+    # thousands of digits, for their size
+    assert g_iter(SequenceParams(u, v, a, b), n) == reference(u, v, a, b, n)
 
 
 BLOCK_PAIRS = [(0, 0), (1, 0), (0, 1), (0, -1), (1, -1), (-1, -1), (2, -1), (2**61, 3)]
@@ -101,8 +102,7 @@ def test_g_iter_block_edges(a, b):
     # linear, zero and one-term-fallback coefficients
     for u, v in [(0, 1), (2, 1), (-3, 7)]:
         p = SequenceParams(u, v, a, b)
-        oracle = g_prefix(p, 1000)
-        assert [g_iter(p, n) for n in BLOCK_INDICES] == [oracle[n] for n in BLOCK_INDICES]
+        assert [g_iter(p, n) for n in BLOCK_INDICES] == [reference(u, v, a, b, n) for n in BLOCK_INDICES]
 
 
 def test_g_iter_does_not_use_the_doubling_ladder(monkeypatch):
@@ -116,7 +116,8 @@ def test_g_iter_does_not_use_the_doubling_ladder(monkeypatch):
     for a, b in [(1, 1), (3, -1), (1, -3), (2, -1), (2**61, 3)]:
         for u, v in [(0, 1), (2, 1), (-3, 4)]:
             p = SequenceParams(u, v, a, b)
-            assert [g_iter(p, n) for n in range(0, 300, 7)] == g_prefix(p, 300)[::7]
+            indices = range(0, 300, 7)
+            assert [g_iter(p, n) for n in indices] == [reference(u, v, a, b, n) for n in indices]
 
 
 params_st = st.tuples(
@@ -298,13 +299,15 @@ FIB_PARAMS = SequenceParams(0, 1, 1, 1)
     (lambda: binet_eval(FIB_PARAMS, -HUGE), DomainError),
     (lambda: addition_sides(FIB_PARAMS, HUGE, 1), ResourceLimitError),
     (lambda: determinant_sides(FIB_PARAMS, HUGE), ResourceLimitError),
-    # the alternating-index checks test their prefix with check_prefix_cap
+    # g_prefix tests its prefix with check_prefix_cap before it builds a
+    # term, and so do the alternating-index checks, which build theirs with it
+    (lambda: g_prefix(FIB_PARAMS, HUGE), ResourceLimitError),
     (lambda: check_alternating_bisquable(FIB_PARAMS, HUGE, "odd"), ResourceLimitError),
     (lambda: alternating_witnesses(FIB_PARAMS, HUGE, "even"), ResourceLimitError),
 ], ids=["gcd_identity_grid", "check_digit_cap", "check_tau_bounds", "primitive_divisors",
         "addition_grid", "g_fast", "factorize", "g_fast_cap", "f_fast", "g_iter", "binet_eval",
         "binet_repeated_root", "binet_eval_negative", "addition_sides", "determinant_sides",
-        "check_alternating_bisquable", "alternating_witnesses"])
+        "g_prefix", "check_alternating_bisquable", "alternating_witnesses"])
 def test_huge_ints_are_refused_by_their_digit_count(call, error):
     # str() of an int past the interpreter's 4300-digit limit raises
     # ValueError, so the refusal names such an int by its digit count

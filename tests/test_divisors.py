@@ -7,7 +7,7 @@ from math import gcd, prod
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import genfib.core
 from genfib import divisors
@@ -507,13 +507,15 @@ def test_tau_bounds_small_sweep():
 
 
 def test_digit_cap_raises():
-    # F_500 runs past the factorization digit cap
-    with pytest.raises(ResourceLimitError):
-        check_tau_bounds(1, 1, 500)
+    # the cap bounds the primitive part: at a prime index that is all of F_n,
+    # and F_389 of (1, 1) has 81 digits
+    refused = r"^the primitive part of F_{} has {} digits, above the 80-digit cap$"
+    with pytest.raises(ResourceLimitError, match=refused.format(389, 81)):
+        check_tau_bounds(1, 1, 389)
     # F_2 = a, so a = 10^100 is the first value with 101 digits
-    with pytest.raises(ResourceLimitError, match=r"^F_2 has 101 digits, above the 80-digit cap$"):
+    with pytest.raises(ResourceLimitError, match=refused.format(2, 101)):
         primitive_divisors(10**100, 1, 2)
-    with pytest.raises(ResourceLimitError, match=r"^F_2 has 100 digits, above the 80-digit cap$"):
+    with pytest.raises(ResourceLimitError, match=refused.format(2, 100)):
         primitive_divisors(10**100 - 1, 1, 2)
 
 
@@ -535,10 +537,17 @@ def test_factorization_is_value_object():
 
 
 def _check_against_oracles(a, b, n):
-    """_factor_f against sympy, primitive_divisors against the linear rank scan."""
-    want = tuple(sorted(sympy.factorint(f_fast(a, b, n)).items()))
-    assert divisors._factor_f(a, b, n)[0].factors == want, (a, b, n)
-    scanned = tuple(p for p, _ in want if rank_of_apparition(a, b, p, limit=n) == n)
+    """_factor_f against sympy's primality test, primitive_divisors against the linear rank scan.
+
+    Sorted distinct primes, each confirmed by sympy.isprime, whose powers
+    multiply back to F_n are the one factorization that sympy.factorint
+    would give, and this check needs no split of its own: factorint takes
+    minutes on the two 40-digit primitive primes of F_386 of (1, 1).
+    """
+    got = divisors._factor_f(a, b, n)[0].factors
+    assert all(sympy.isprime(p) for p, _ in got) and [p for p, _ in got] == sorted({p for p, _ in got}), (a, b, n)
+    assert all(e > 0 for _, e in got) and prod(p**e for p, e in got) == f_fast(a, b, n), (a, b, n)
+    scanned = tuple(p for p, _ in got if rank_of_apparition(a, b, p, limit=n) == n)
     assert primitive_divisors(a, b, n).primitive_primes == scanned, (a, b, n)
 
 
@@ -556,6 +565,69 @@ def test_factor_f_against_oracles(a, b, n_max):
 @settings(max_examples=100, deadline=None)
 def test_factor_f_against_oracles_random_coefficients(a, b, n):
     _check_against_oracles(a, b, n)
+
+
+# for each of criterion 10's pairs, the last index whose F_n has at most 80
+# digits and the first ten indices past it at which F_n is factored: the cap
+# bounds the primitive part, so these are decided although F_n is not
+@pytest.mark.parametrize("a, b, last, indices", [
+    (1, 1, 384, (385, 386, 387, 388, 390, 391, 392, 393, 394, 395)),
+    (2, 1, 210, (212, 213, 214, 216, 218, 219, 220, 221, 222, 224)),
+    (1, 2, 267, (268, 270, 272, 273, 275, 276, 278, 279, 280, 282)),
+    (3, 1, 155, (156, 158, 159, 160, 162, 164, 165, 168, 169, 170)),
+])
+def test_factor_f_against_oracles_past_80_digits(a, b, last, indices):
+    assert f_fast(a, b, last) < 10**80 <= f_fast(a, b, last + 1)
+    for n in indices:
+        _check_against_oracles(a, b, n)
+
+
+def _primitive_part(a, b, n):
+    """F_n with every prime that it shares with an earlier F_d, d | n, or for n > 2 with gcd(a, b) divided out, by gcds."""
+    m = f_fast(a, b, n)
+    for x in [f_fast(a, b, d) for d in range(2, n) if n % d == 0] + [gcd(a, b)] * (n > 2):
+        while (g := gcd(m, x)) > 1:
+            m //= g
+    return m
+
+
+@st.composite
+def _past_f_cap_within_part_cap(draw):
+    """(a, b, n) with a, b <= 40 and n <= 80 whose F_n passes 10^80 while its primitive part does not."""
+    a, b = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    ns = [n for n in range(2, 81) if f_fast(a, b, n) >= 10**80 > _primitive_part(a, b, n)]
+    assume(ns)
+    return a, b, draw(st.sampled_from(ns))
+
+
+@pytest.fixture
+def small_rho_budget(monkeypatch):
+    # p-1/p+1 and the Fermat step keep their bounds; rho gets 20,000 steps
+    # and no curves race it or follow it, so a stuck part costs milliseconds
+    monkeypatch.setattr(divisors, "RHO_BUDGET", 20_000)
+    monkeypatch.setattr(divisors, "RACE_CURVES", 0)
+    monkeypatch.setattr(divisors, "ECM_CURVES", 0)
+    divisors._factor_f.cache_clear()
+    yield
+    divisors._factor_f.cache_clear()
+
+
+@given(_past_f_cap_within_part_cap())
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_the_cap_bounds_the_primitive_part(small_rho_budget, abn):
+    # F_n is past the cap and its primitive part is not, so F_n is factored
+    # or stuck on a composite, never refused for its size
+    a, b, n = abn
+    fn = f_fast(a, b, n)
+    try:
+        fac, prims = divisors._factor_f(a, b, n)
+    except divisors.RhoBudgetError as exc:
+        assert exc.whole in {f_fast(a, b, d) for d in range(1, n + 1) if n % d == 0}
+        assert exc.stuck > 1 and fn % exc.stuck == 0 and not sympy.isprime(exc.stuck)
+        return
+    assert all(sympy.isprime(p) for p, _ in fac.factors)
+    assert prod(p**e for p, e in fac.factors) == fac.n == fn
+    assert prod(p**e for p, e in fac.factors if p in prims) == _primitive_part(a, b, n)
 
 
 # indices that hit the rho budget when F_n was factored whole, and are
@@ -611,11 +683,12 @@ def test_factor_f_failure_is_memoised(tiny_rho_budget, monkeypatch):
 
 
 def test_stuck_divisor_term_stops_the_split(tiny_rho_budget):
-    # F_73 = 9375829 * 86020717 needs rho; F_146 cannot be split past it
+    # F_73 = 9375829 * 86020717 needs rho; F_146 cannot be split past it, and
+    # its error is F_73's, which names F_73 as the number being factored
     stuck = 9375829 * 86020717
     with pytest.raises(ResourceLimitError, match=f"factoring {f_fast(1, 1, 73)} .stuck on {stuck}."):
         divisors._factor_f(1, 1, 73)
-    with pytest.raises(ResourceLimitError, match=f"factoring {f_fast(1, 1, 146)} .stuck on {stuck}."):
+    with pytest.raises(ResourceLimitError, match=f"factoring {f_fast(1, 1, 73)} .stuck on {stuck}."):
         divisors._factor_f(1, 1, 146)
     with pytest.raises(ResourceLimitError, match=f"stuck on {stuck}"):
         primitive_divisors(1, 1, 146)

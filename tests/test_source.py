@@ -77,6 +77,20 @@ def test_split_is_called_once_per_factorization():
     assert callers == ["_factor_f", "_factorize"]
 
 
+def test_factoring_cap_is_read_in_one_comparison():
+    # DIGIT_LIMIT bounds one number, the primitive part of F_n that
+    # _factor_f hands to _split, so its ceiling is read once, to compare
+    reads, compares = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name) and node.id == "_DIGIT_CEILING" and isinstance(node.ctx, ast.Load):
+                reads.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.Compare) and any(isinstance(x, ast.Name) and x.id == "_DIGIT_CEILING"
+                                                     for x in (node.left, *node.comparators)):
+                compares.append(f"{path.name}:{node.lineno}")
+    assert len(reads) == 1 and compares == reads
+
+
 def test_import_builds_no_lazy_tables():
     # the p-1/p+1 tables and the CLI parser are built on first use, so
     # importing the package stays as cheap as it was before they existed
